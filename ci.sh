@@ -140,11 +140,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # gef-forest is included because the flattened inference kernel uses
 # unchecked indexing behind build-time validation — the rest of the
 # crate must not hide a panic path that validation was supposed to
-# remove. gef-store is included because the artifact store's contract
-# is typed errors on every disk-fault path — a panic there would turn
-# a corrupt artifact into a dead server. gef-trace is included because
-# its hooks run inside every other crate, including in Span::drop: a
-# poisoned telemetry lock must not turn one panic into two.
+# remove. gef-gam is included for its typed-error contract and for the
+# same reason: its term-pair Gram kernels index without bounds checks
+# behind the run check of the design build. gef-store is included
+# because the artifact store's contract is typed errors on every
+# disk-fault path — a panic there would turn a corrupt artifact into a
+# dead server. gef-trace is included because its hooks run inside every
+# other crate, including in Span::drop: a poisoned telemetry lock must
+# not turn one panic into two.
 echo "==> cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace)"
 cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace --lib -- -D warnings
 

@@ -55,12 +55,20 @@ impl SyntheticDataset {
         before - self.ys.len()
     }
 
+    /// Rows in the train part of a split at `train_fraction`: the first
+    /// `round(len · train_fraction)` rows, leaving at least one row on
+    /// each side when there are two. [`SyntheticDataset::split`] and
+    /// the explain pipeline, which fits on slices of `xs`, both cut here.
+    pub fn train_rows(&self, train_fraction: f64) -> usize {
+        ((self.len() as f64 * train_fraction).round() as usize)
+            .clamp(1, self.len().saturating_sub(1).max(1))
+    }
+
     /// Split into train/test parts (no shuffle needed: rows are i.i.d.
     /// by construction).
     pub fn split(&self, train_fraction: f64) -> (SyntheticDataset, SyntheticDataset) {
         assert!(train_fraction > 0.0 && train_fraction < 1.0);
-        let cut = ((self.len() as f64 * train_fraction).round() as usize)
-            .clamp(1, self.len().saturating_sub(1).max(1));
+        let cut = self.train_rows(train_fraction);
         let mk = |xs: &[Vec<f64>], ys: &[f64]| SyntheticDataset {
             xs: xs.to_vec(),
             ys: ys.to_vec(),

@@ -531,7 +531,10 @@ impl GefExplainer {
                         ),
                     );
                 }
-                let (train, test) = dataset.split(cfg.train_fraction);
+                // Train on D*'s first rows and score on the rest, as
+                // `split` would, on slices rather than copies.
+                let cut = dataset.train_rows(cfg.train_fraction);
+                let (xs, ys) = (&dataset.xs, &dataset.ys);
                 // Fit with the degradation ladder: numerical failures
                 // walk the spec down (drop worst tensor → shrink bases →
                 // widen λ grid → univariate-only → linear surrogate)
@@ -539,8 +542,8 @@ impl GefExplainer {
                 // vs the forest on held-out D* comes back with the fit.
                 let (gam, fidelity_rmse, fidelity_r2) = fit_with_recovery(
                     &spec,
-                    (&train.xs, &train.ys),
-                    (&test.xs, &test.ys),
+                    (&xs[..cut], &ys[..cut]),
+                    (&xs[cut..], &ys[cut..]),
                     &mut degradations,
                 )?;
                 Ok((gam, categorical, fidelity_rmse, fidelity_r2))

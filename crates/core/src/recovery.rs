@@ -436,7 +436,9 @@ fn attempt(
             ))))
         }
     };
-    let preds = gam.predict_batch(test.0);
+    let preds = gam
+        .predict_batch(test.0)
+        .map_err(|e| AttemptFailure::Fatal(e.into()))?;
     let rmse = metrics::try_rmse(&preds, test.1)
         .map_err(|e| AttemptFailure::Retryable(format!("non-finite fidelity: {e}")))?;
     let r2 = metrics::try_r2(&preds, test.1)

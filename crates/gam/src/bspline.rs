@@ -177,7 +177,18 @@ impl BSplineBasis {
     /// `x` is clamped to the domain, so extrapolation beyond `[lo, hi]`
     /// freezes at the boundary value (safe behaviour for an explainer).
     pub fn eval_sparse(&self, x: f64) -> (usize, Vec<f64>) {
+        let mut vals = vec![0.0; self.degree + 1];
+        let first = self.eval_into(x, &mut vals);
+        (first, vals)
+    }
+
+    /// [`BSplineBasis::eval_sparse`] without allocating: writes the
+    /// `degree + 1` non-zero values into `n` (exactly that long) and
+    /// returns the index of the first. Every design row is built by
+    /// this one evaluator.
+    pub(crate) fn eval_into(&self, x: f64, n: &mut [f64]) -> usize {
         let d = self.degree;
+        debug_assert_eq!(n.len(), d + 1);
         let x = x.clamp(self.lo, self.hi);
         // Locate the knot span: largest `mu` with knots[mu] <= x,
         // clamped to valid polynomial segments [d, num_basis - 1].
@@ -189,7 +200,6 @@ impl BSplineBasis {
 
         // Cox–de Boor triangular scheme: N[j] holds values of the
         // degree-r basis functions non-zero on this span.
-        let mut n = vec![0.0f64; d + 1];
         n[0] = 1.0;
         #[allow(clippy::needless_range_loop)] // triangular de Boor indices
         for r in 1..=d {
@@ -206,7 +216,7 @@ impl BSplineBasis {
             }
             n[r] = saved;
         }
-        (mu - d, n)
+        mu - d
     }
 
     /// Evaluate the full (dense) basis vector at `x`.

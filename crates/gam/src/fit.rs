@@ -15,7 +15,7 @@
 //! `Vβ = (XᵀWX + λS)⁻¹ φ` (Wood 2006), the same construction PyGAM uses
 //! for the intervals shown in the paper's spline plots.
 
-use crate::design::{sparse_dot, Design};
+use crate::design::{sparse_dot, Design, DesignMatrix};
 use crate::terms::TermSpec;
 use crate::{GamError, Result};
 use gef_linalg::{Cholesky, Matrix};
@@ -169,18 +169,6 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     if xs.is_empty() {
         return Err(GamError::InvalidData("empty training set".into()));
     }
-    let max_feature = spec
-        .terms
-        .iter()
-        .flat_map(|t| t.features())
-        .max()
-        .unwrap_or(0);
-    if xs[0].len() <= max_feature {
-        return Err(GamError::InvalidData(format!(
-            "terms reference feature {max_feature} but rows have {} features",
-            xs[0].len()
-        )));
-    }
     if spec.link == Link::Logit && ys.iter().any(|&y| !(0.0..=1.0).contains(&y)) {
         return Err(GamError::InvalidData(
             "logit link requires responses in [0, 1]".into(),
@@ -203,10 +191,9 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
             )));
         }
     }
-    // Cache sparse design rows once.
-    let rows: Vec<Vec<(usize, f64)>> = gef_trace::time("gam.design_rows", || {
-        xs.iter().map(|x| design.row(x)).collect()
-    });
+    // Evaluate the design once; every later pass reads it. This also
+    // checks the width of every row.
+    let rows = gef_trace::time("gam.design_rows", || DesignMatrix::build(&design, xs))?;
 
     let grid: Vec<f64> = match &spec.lambda {
         LambdaSelection::Fixed(l) => vec![*l],
@@ -233,10 +220,10 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     // column-mean vector. This keeps the design rows sparse (unlike a
     // reparameterization) while making both the point estimates and the
     // Bayesian covariance identifiable.
-    let constraint = constraint_penalty(&design, &rows);
+    let constraint = constraint_penalty(&design, &rows)?;
 
     let normal = match spec.link {
-        Link::Identity => Some(NormalEquations::accumulate(&rows, ys, p)),
+        Link::Identity => Some(NormalEquations::accumulate(&rows, ys)?),
         Link::Logit => None,
     };
     let (lambda, best) = {
@@ -310,7 +297,7 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     // Per-term training contributions (for centering and importance).
     let (component_means, component_sds) = gef_trace::time("gam.component_stats", || {
         component_stats(&design, &rows, &beta)
-    });
+    })?;
 
     Ok(Gam {
         design,
@@ -326,36 +313,34 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
 }
 
 /// Mean and standard deviation of each term's training contribution
-/// `x_t·β_t`, from the cached design rows: after the intercept entry,
-/// each term's entries are a contiguous run inside its column block, in
-/// the order `Design::term_row` produces them.
+/// `x_t·β_t`, one term per pool task, each summed over the rows in row
+/// order.
 fn component_stats(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    rows: &DesignMatrix,
     beta: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    let t = design.terms.len();
-    let mut sums = vec![0.0; t];
-    let mut sq_sums = vec![0.0; t];
-    for row in rows {
-        let mut rest = &row[1..];
-        for ti in 0..t {
-            let (_, end) = design.term_cols(ti);
-            let (entries, tail) = rest.split_at(rest.partition_point(|&(c, _)| c < end));
-            let c = sparse_dot(entries, beta);
-            sums[ti] += c;
-            sq_sums[ti] += c * c;
-            rest = tail;
-        }
-    }
-    let n = rows.len() as f64;
-    let means: Vec<f64> = sums.iter().map(|s| s / n).collect();
-    let sds = sq_sums
+) -> Result<(Vec<f64>, Vec<f64>)> {
+    let sums = gef_par::map(
+        design.terms.len(),
+        gef_par::Options::default().with_label("gam.component_stats"),
+        |t| {
+            let (mut sum, mut sq_sum) = (0.0, 0.0);
+            for r in 0..rows.rows() {
+                let c = rows.term_dot(t, r, beta);
+                sum += c;
+                sq_sum += c * c;
+            }
+            (sum, sq_sum)
+        },
+    )?;
+    let n = rows.rows() as f64;
+    let means: Vec<f64> = sums.iter().map(|(s, _)| s / n).collect();
+    let sds = sums
         .iter()
         .zip(&means)
-        .map(|(&sq, &m)| (sq / n - m * m).max(0.0).sqrt())
+        .map(|(&(_, sq), &m)| (sq / n - m * m).max(0.0).sqrt())
         .collect();
-    (means, sds)
+    Ok((means, sds))
 }
 
 /// Build the block-diagonal soft identifiability-constraint matrix.
@@ -372,15 +357,10 @@ fn component_stats(
 ///   soft-constraint analogue of mgcv's `ti()` interaction smooths.
 ///   Because each marginal basis is a partition of unity, the marginal
 ///   means are exact row/column sums of the tensor's column means.
-fn constraint_penalty(design: &Design, rows: &[Vec<(usize, f64)>]) -> Matrix {
+fn constraint_penalty(design: &Design, rows: &DesignMatrix) -> Result<Matrix> {
     let p = design.num_cols;
-    let n = rows.len() as f64;
-    let mut means = vec![0.0; p];
-    for row in rows {
-        for &(c, v) in row {
-            means[c] += v;
-        }
-    }
+    let n = rows.rows() as f64;
+    let mut means = rows.column_sums()?;
     for m in &mut means {
         *m /= n;
     }
@@ -443,7 +423,7 @@ fn constraint_penalty(design: &Design, rows: &[Vec<(usize, f64)>]) -> Matrix {
             }
         }
     }
-    sc
+    Ok(sc)
 }
 
 /// Small deterministic ridge keeping the penalized system positive
@@ -524,27 +504,29 @@ struct NormalEquations {
 }
 
 impl NormalEquations {
-    fn accumulate(rows: &[Vec<(usize, f64)>], ys: &[f64], p: usize) -> Self {
+    /// `XᵀX` and `Xᵀy` one term-pair block per pool task.
+    fn accumulate(rows: &DesignMatrix, ys: &[f64]) -> Result<Self> {
         let _span = gef_trace::Span::enter("gam.gram");
-        let mut g = Matrix::zeros(p, p);
-        let mut b = vec![0.0; p];
+        let ones = vec![1.0; rows.rows()];
+        let mut blocks = rows.gram_blocks();
+        gef_par::for_each_task(
+            blocks.iter_mut().collect(),
+            gef_par::Options::default().with_label("gam.gram_block"),
+            |_, block| rows.accumulate(block, &ones, ys),
+        )?;
+        let (g, b) = rows.assemble(&blocks);
         let mut yty = 0.0;
-        for (row, &y) in rows.iter().zip(ys) {
-            g.syr_upper_sparse(row, 1.0);
-            for &(c, v) in row {
-                b[c] += v * y;
-            }
+        for &y in ys {
             yty += y * y;
         }
-        g.mirror_upper();
         let ridge = ridge_for(&g);
-        NormalEquations {
+        Ok(NormalEquations {
             g,
             b,
             yty,
-            n: rows.len(),
+            n: rows.rows(),
             ridge,
-        }
+        })
     }
 }
 
@@ -578,7 +560,7 @@ fn gaussian_candidate(
 #[allow(clippy::too_many_arguments)]
 fn logit_candidate(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    rows: &DesignMatrix,
     ys: &[f64],
     lambda: f64,
     max_iter: usize,
@@ -588,7 +570,7 @@ fn logit_candidate(
     let run = pirls_logit(design, rows, ys, lambda, max_iter, tol, constraint)?;
     let (inverse, edf) = inverse_and_edf(&run.chol, &run.weighted_gram);
     Ok(Candidate {
-        gcv: gcv_score(rows.len(), run.deviance, edf),
+        gcv: gcv_score(rows.rows(), run.deviance, edf),
         beta: run.beta,
         inverse,
         deviance: run.deviance,
@@ -710,7 +692,7 @@ const MAX_STEP_HALVINGS: usize = 12;
 #[allow(clippy::too_many_arguments)]
 fn pirls_logit(
     design: &Design,
-    rows: &[Vec<(usize, f64)>],
+    rows: &DesignMatrix,
     ys: &[f64],
     lambda: f64,
     max_iter: usize,
@@ -735,6 +717,11 @@ fn pirls_logit(
     // against: any finite deviance is accepted.
     let mut prev_dev = f64::INFINITY;
     let mut step_halvings = 0usize;
+    // Buffers every iteration refills: the IRLS weights w and working
+    // responses times weights w·z, and the Gram blocks.
+    let mut w = vec![0.0; ys.len()];
+    let mut wz = vec![0.0; ys.len()];
+    let mut blocks = rows.gram_blocks();
     // Budget cap on PIRLS iterations (0 = unlimited): a process-wide
     // clamp on top of the spec's own `max_pirls_iter`.
     let max_iter = match gef_trace::budget::pirls_iter_cap() {
@@ -753,20 +740,19 @@ fn pirls_logit(
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         iters = it + 1;
+        // XᵀWX and XᵀWz, serially: the λ grid around this run is what
+        // runs on the pool.
         let gram_span = gef_trace::Span::enter("gam.gram");
-        let mut g = Matrix::zeros(p, p);
-        let mut b = vec![0.0; p];
-        for (row, (&y, &e)) in rows.iter().zip(ys.iter().zip(&eta)) {
+        for (((w, wz), &y), &e) in w.iter_mut().zip(&mut wz).zip(ys).zip(&eta) {
             let mu = Link::Logit.inverse(e);
-            let w = (mu * (1.0 - mu)).max(1e-6);
-            let z = e + (y - mu) / w;
-            g.syr_upper_sparse(row, w);
-            let wz = w * z;
-            for &(c, v) in row {
-                b[c] += v * wz;
-            }
+            *w = (mu * (1.0 - mu)).max(1e-6);
+            let z = e + (y - mu) / *w;
+            *wz = *w * z;
         }
-        g.mirror_upper();
+        for block in &mut blocks {
+            rows.accumulate(block, &w, &wz);
+        }
+        let (g, b) = rows.assemble(&blocks);
         drop(gram_span);
         let ridge = ridge_for(&g);
         let chol = penalized_chol(&g, &design.penalty, lambda, constraint, ridge)?;
@@ -786,9 +772,8 @@ fn pirls_logit(
         // iterate while it makes the deviance worse or non-finite.
         let mut halved = 0usize;
         let (new_eta, dev, accepted) = loop {
-            let cand_eta: Vec<f64> = rows
-                .iter()
-                .map(|row| sparse_dot(row, &new_beta).clamp(-30.0, 30.0))
+            let cand_eta: Vec<f64> = (0..rows.rows())
+                .map(|r| rows.row_dot(r, &new_beta).clamp(-30.0, 30.0))
                 .collect();
             let dev = binomial_deviance(ys, &cand_eta);
             if dev.is_finite() && dev <= prev_dev + 1e-6 * (1.0 + prev_dev.abs()) {
@@ -863,9 +848,14 @@ impl Gam {
         self.link.inverse(self.predict_raw(x))
     }
 
-    /// Batch response-scale predictions.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
+    /// Batch response-scale predictions, bit-equal to [`Gam::predict`]
+    /// on each row. The design is evaluated on the gef-par pool; a row
+    /// narrower than the terms need is an [`GamError::InvalidData`].
+    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>> {
+        let rows = DesignMatrix::build(&self.design, xs)?;
+        Ok((0..rows.rows())
+            .map(|r| self.link.inverse(rows.row_dot(r, &self.beta)))
+            .collect())
     }
 
     /// Number of additive terms.
@@ -1583,12 +1573,12 @@ mod tests {
         trace
     }
 
-    /// Compile the design, cache its rows and build the constraint
+    /// Compile the design, evaluate its rows and build the constraint
     /// exactly as `fit` does.
-    fn prepare(spec: &GamSpec, xs: &[Vec<f64>]) -> (Design, Vec<Vec<(usize, f64)>>, Matrix) {
+    fn prepare(spec: &GamSpec, xs: &[Vec<f64>]) -> (Design, DesignMatrix, Matrix) {
         let design = Design::compile(&spec.terms, spec.penalty_order).unwrap();
-        let rows: Vec<_> = xs.iter().map(|x| design.row(x)).collect();
-        let constraint = constraint_penalty(&design, &rows);
+        let rows = DesignMatrix::build(&design, xs).unwrap();
+        let constraint = constraint_penalty(&design, &rows).unwrap();
         (design, rows, constraint)
     }
 
@@ -1624,7 +1614,7 @@ mod tests {
             TermSpec::tensor((1, 2), ((0.0, 1.0), (0.0, 1.0))),
         ]);
         let (design, rows, constraint) = prepare(&spec, &xs);
-        let ne = NormalEquations::accumulate(&rows, &ys, design.num_cols);
+        let ne = NormalEquations::accumulate(&rows, &ys).unwrap();
         let mut oracle_best = (f64::INFINITY, f64::NAN);
         for lambda in default_grid() {
             let cand = gaussian_candidate(&ne, &design.penalty, lambda, &constraint).unwrap();
@@ -1660,13 +1650,47 @@ mod tests {
                 logit_candidate(&design, &rows, &ys, lambda, max_iter, tol, &constraint).unwrap();
             let run = pirls_logit(&design, &rows, &ys, lambda, max_iter, tol, &constraint).unwrap();
             let oracle = edf_by_column_solves(&run.chol, &run.weighted_gram);
-            let gcv = check_edf(lambda, &cand, oracle, rows.len());
+            let gcv = check_edf(lambda, &cand, oracle, rows.rows());
             if gcv < oracle_best.0 {
                 oracle_best = (gcv, lambda);
             }
         }
         let gam = fit(&spec, &xs, &ys).unwrap();
         assert_eq!(gam.summary().lambda, oracle_best.1);
+    }
+
+    /// The spline, factor, cubic- and degree-2-tensor spec on seeded data
+    /// with a polynomial response and a literal λ grid, so the fit uses
+    /// only correctly rounded arithmetic and digests alike everywhere.
+    #[test]
+    fn gaussian_fit_digest_is_pinned() {
+        let xs: Vec<Vec<f64>> = uniform(600, 3, 97)
+            .into_iter()
+            .map(|mut x| {
+                x[1] = (x[1] * 3.0).floor();
+                x
+            })
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| x[0] * x[0] - 0.5 * x[1] + 2.0 * x[0] * x[2] - x[2])
+            .collect();
+        let spec = GamSpec {
+            lambda: LambdaSelection::GcvGrid(vec![1e-3, 1e-2, 1e-1, 1.0, 10.0]),
+            ..GamSpec::regression(vec![
+                TermSpec::spline(0, (0.0, 1.0)),
+                TermSpec::factor(1, vec![0.0, 1.0, 2.0]),
+                TermSpec::tensor((0, 2), ((0.0, 1.0), (0.0, 1.0))),
+                TermSpec::Tensor {
+                    features: (2, 0),
+                    num_basis: (6, 5),
+                    ranges: ((0.0, 1.0), (0.0, 1.0)),
+                    degree: 2,
+                },
+            ])
+        };
+        let gam = fit(&spec, &xs, &ys).unwrap();
+        assert_eq!(gam.content_digest(), 0x72f6_b3da_ed7a_74dc);
     }
 
     #[test]
@@ -1690,5 +1714,20 @@ mod tests {
             ..GamSpec::regression(vec![TermSpec::spline(0, (0.0, 1.0))])
         };
         assert!(fit(&spec4, &xs, &ys).is_err());
+        // A row shorter than the terms need, after full ones, is named
+        // by both the fit and batch prediction.
+        let spec5 = GamSpec::regression(vec![TermSpec::spline(1, (0.0, 1.0))]);
+        let mut ragged = uniform(100, 2, 37);
+        let gam = fit(&spec5, &ragged, &ys).unwrap();
+        ragged[57].truncate(1);
+        for got in [
+            fit(&spec5, &ragged, &ys).map(|_| ()),
+            gam.predict_batch(&ragged).map(|_| ()),
+        ] {
+            match got {
+                Err(GamError::InvalidData(msg)) => assert!(msg.starts_with("row 57 "), "{msg}"),
+                other => panic!("expected InvalidData, got {other:?}"),
+            }
+        }
     }
 }

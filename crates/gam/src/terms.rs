@@ -318,48 +318,88 @@ impl BuiltTerm {
         }
     }
 
-    /// Number of entries [`BuiltTerm::fill_row`] appends: `degree + 1`
-    /// for a spline, 1 for a factor, `(da + 1)(db + 1)` for a tensor.
-    pub(crate) fn row_len(&self) -> usize {
+    /// Shape of the term's non-zero entries in one row, `(runs,
+    /// run_len)`: runs of `run_len` contiguous columns. A spline is one
+    /// run of `degree + 1`, a factor one run of 1, and a tensor one run
+    /// of `db + 1` per non-zero first-margin basis function (`da + 1`
+    /// runs).
+    pub(crate) fn run_shape(&self) -> (usize, usize) {
         match self {
-            BuiltTerm::Spline { basis, .. } => basis.degree() + 1,
-            BuiltTerm::Factor { .. } => 1,
+            BuiltTerm::Spline { basis, .. } => (1, basis.degree() + 1),
+            BuiltTerm::Factor { .. } => (1, 1),
             BuiltTerm::Tensor {
                 basis_a, basis_b, ..
-            } => (basis_a.degree() + 1) * (basis_b.degree() + 1),
+            } => (basis_a.degree() + 1, basis_b.degree() + 1),
         }
     }
 
-    /// Append this term's non-zero design entries for instance `x`,
-    /// with columns shifted by `offset`.
-    pub(crate) fn fill_row(&self, x: &[f64], offset: usize, out: &mut Vec<(usize, f64)>) {
+    /// Length of the scratch [`BuiltTerm::fill_runs`] needs: a tensor's
+    /// first-margin values.
+    pub(crate) fn scratch_len(&self) -> usize {
+        match self {
+            BuiltTerm::Tensor { basis_a, .. } => basis_a.degree() + 1,
+            BuiltTerm::Spline { .. } | BuiltTerm::Factor { .. } => 0,
+        }
+    }
+
+    /// Evaluate the term at instance `x` without allocating: each run's
+    /// first column, relative to the term's first column, goes to
+    /// `firsts` and its values to `vals`, run after run (the lengths
+    /// [`BuiltTerm::run_shape`] gives). `scratch` is
+    /// [`BuiltTerm::scratch_len`] long. Columns fit in `u32`: the
+    /// design rejects wider terms when it compiles.
+    pub(crate) fn fill_runs(
+        &self,
+        x: &[f64],
+        firsts: &mut [u32],
+        vals: &mut [f64],
+        scratch: &mut [f64],
+    ) {
         match self {
             BuiltTerm::Spline { feature, basis } => {
-                let (first, vals) = basis.eval_sparse(x[*feature]);
-                out.extend(
-                    vals.iter()
-                        .enumerate()
-                        .map(|(j, &v)| (offset + first + j, v)),
-                );
+                firsts[0] = basis.eval_into(x[*feature], vals) as u32;
             }
             BuiltTerm::Factor { feature, levels } => {
-                let idx = nearest_level(levels, x[*feature]);
-                out.push((offset + idx, 1.0));
+                firsts[0] = nearest_level(levels, x[*feature]) as u32;
+                vals[0] = 1.0;
             }
             BuiltTerm::Tensor {
                 features,
                 basis_a,
                 basis_b,
             } => {
-                let (fa, va) = basis_a.eval_sparse(x[features.0]);
-                let (fb, vb) = basis_b.eval_sparse(x[features.1]);
-                let kb = basis_b.num_basis();
-                for (i, &a) in va.iter().enumerate() {
-                    for (j, &b) in vb.iter().enumerate() {
-                        out.push((offset + (fa + i) * kb + fb + j, a * b));
+                let fa = basis_a.eval_into(x[features.0], scratch);
+                let (run0, rest) = vals.split_at_mut(basis_b.degree() + 1);
+                let fb = basis_b.eval_into(x[features.1], run0);
+                // Run i holds a_i·b_j. Runs 1.. read the second margin's
+                // values from run 0, which is scaled last, in place.
+                for (run, &a) in rest.chunks_exact_mut(run0.len()).zip(&scratch[1..]) {
+                    for (v, &b) in run.iter_mut().zip(run0.iter()) {
+                        *v = a * b;
                     }
                 }
+                for v in run0.iter_mut() {
+                    *v *= scratch[0];
+                }
+                let kb = basis_b.num_basis();
+                for (i, f) in firsts.iter_mut().enumerate() {
+                    *f = ((fa + i) * kb + fb) as u32;
+                }
             }
+        }
+    }
+
+    /// Append this term's non-zero design entries for instance `x`, as
+    /// sorted `(column, value)` pairs with columns shifted by `offset`.
+    pub(crate) fn fill_row(&self, x: &[f64], offset: usize, out: &mut Vec<(usize, f64)>) {
+        let (runs, len) = self.run_shape();
+        let mut firsts = vec![0u32; runs];
+        let mut vals = vec![0.0; runs * len];
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.fill_runs(x, &mut firsts, &mut vals, &mut scratch);
+        for (&first, run) in firsts.iter().zip(vals.chunks_exact(len)) {
+            let first = offset + first as usize;
+            out.extend(run.iter().enumerate().map(|(j, &v)| (first + j, v)));
         }
     }
 

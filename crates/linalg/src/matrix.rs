@@ -2,8 +2,8 @@
 //!
 //! [`Matrix`] implements exactly the operations the GEF workspace needs:
 //! construction, indexed access, mat-vec and mat-mat products, transpose,
-//! and symmetric accumulation (`A += x xᵀ`, the hot path of the GAM's
-//! normal-equation build-up).
+//! and symmetric accumulation (`A += x xᵀ`, the row-by-row reference the
+//! GAM's blocked normal equations are tested against).
 
 use crate::{LinalgError, Result};
 use gef_trace::json::{JsonValue, JsonWriter, ReadJson, WriteJson};
@@ -224,8 +224,6 @@ impl Matrix {
 
     /// Symmetric rank-1 update of the upper triangle: `self += w * x xᵀ`
     /// (upper triangle only; call [`Matrix::mirror_upper`] to complete).
-    ///
-    /// This is the hot path for accumulating `XᵀWX` row by row.
     #[inline]
     pub fn syr_upper(&mut self, x: &[f64], w: f64) {
         debug_assert_eq!(x.len(), self.cols);
@@ -246,9 +244,9 @@ impl Matrix {
     /// Sparse symmetric rank-1 update of the upper triangle using only
     /// the non-zero entries `(index, value)` of `x`: `self += w * x xᵀ`.
     ///
-    /// `nz` must be sorted by index. This is what makes GAM fitting with
-    /// 100k-row design matrices cheap: a cubic-spline row has only a few
-    /// non-zeros, so the update is O(nnz²) instead of O(p²).
+    /// `nz` must be sorted by index; the update is O(nnz²) instead of
+    /// O(p²). gef-gam builds its Gram one term-pair block at a time
+    /// instead and tests that build against this one, bit for bit.
     #[inline]
     pub fn syr_upper_sparse(&mut self, nz: &[(usize, f64)], w: f64) {
         debug_assert_eq!(self.rows, self.cols);

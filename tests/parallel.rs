@@ -89,7 +89,8 @@ fn dstar_labeling_is_bit_identical_across_thread_counts() {
 }
 
 /// Fit `spec` at 1 and 4 threads and require the selected λ, its GCV
-/// score and edf, and every prediction to agree bit for bit.
+/// score and edf, and every prediction to agree bit for bit, batched
+/// and per row.
 fn assert_fit_bit_identical(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) {
     let serial = at_threads(1, || fit(spec, xs, ys).unwrap());
     let parallel = at_threads(4, || fit(spec, xs, ys).unwrap());
@@ -106,9 +107,11 @@ fn assert_fit_bit_identical(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) {
         serial.summary().edf.to_bits(),
         parallel.summary().edf.to_bits()
     );
-    let ps = serial.predict_batch(xs);
-    let pp = parallel.predict_batch(xs);
+    let ps = at_threads(1, || serial.predict_batch(xs).unwrap());
+    let pp = at_threads(4, || parallel.predict_batch(xs).unwrap());
     assert_eq!(bits(&ps), bits(&pp));
+    let per_row: Vec<f64> = xs.iter().map(|x| serial.predict(x)).collect();
+    assert_eq!(bits(&ps), bits(&per_row));
 }
 
 #[test]
@@ -120,6 +123,7 @@ fn gcv_lambda_selection_is_bit_identical_across_thread_counts() {
                     (i % 97) as f64 / 97.0,
                     (i % 41) as f64 / 41.0,
                     (i % 23) as f64 / 23.0,
+                    (i % 3) as f64,
                 ]
             })
             .collect();
@@ -146,6 +150,28 @@ fn gcv_lambda_selection_is_bit_identical_across_thread_counts() {
         // Logit: every λ runs its own PIRLS.
         let labels: Vec<f64> = ys.iter().map(|&y| f64::from(y > 0.3)).collect();
         assert_fit_bit_identical(&GamSpec::classification(splines), &xs, &labels);
+
+        // A factor and a degree-2 tensor beside the cubic tensor: every
+        // Gram block shape, the generic one included, Gaussian and logit.
+        let mixed = vec![
+            TermSpec::spline(0, (0.0, 1.0)),
+            TermSpec::factor(3, vec![0.0, 1.0, 2.0]),
+            TermSpec::tensor((1, 2), ((0.0, 1.0), (0.0, 1.0))),
+            TermSpec::Tensor {
+                features: (0, 2),
+                num_basis: (6, 5),
+                ranges: ((0.0, 1.0), (0.0, 1.0)),
+                degree: 2,
+            },
+        ];
+        let ys_mixed: Vec<f64> = xs
+            .iter()
+            .zip(&ys_te)
+            .map(|(x, y)| y + 0.5 * x[3] - x[0] * x[2])
+            .collect();
+        assert_fit_bit_identical(&GamSpec::regression(mixed.clone()), &xs, &ys_mixed);
+        let labels: Vec<f64> = ys_mixed.iter().map(|&y| f64::from(y > 0.8)).collect();
+        assert_fit_bit_identical(&GamSpec::classification(mixed), &xs, &labels);
     });
 }
 
