@@ -43,18 +43,6 @@ cargo test --workspace --doc -q
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# Telemetry determinism: the same pipeline run at 1 and 4 threads must
-# produce reports that agree on every non-timing field (span counts,
-# counters, gauges, the event sequence). telemetry_diff exits nonzero
-# on any divergence.
-echo "==> telemetry determinism (GEF_THREADS=1 vs 4)"
-GEF_TRACE=json GEF_THREADS=1 \
-    cargo run --release -q -p gef-bench --bin xp_scaling -- --quick --ci-label scaling_t1
-GEF_TRACE=json GEF_THREADS=4 \
-    cargo run --release -q -p gef-bench --bin xp_scaling -- --quick --ci-label scaling_t4
-cargo run --release -q -p gef-bench --bin telemetry_diff -- \
-    results/telemetry/scaling_t1.json results/telemetry/scaling_t4.json
-
 # Bench-regression gate: the fixed-seed xp_regress suite (forest
 # training, D* labeling, GCV search, end-to-end explain, each at
 # GEF_THREADS 1 and 4) against the committed BENCH_baseline.json.
@@ -62,8 +50,25 @@ cargo run --release -q -p gef-bench --bin telemetry_diff -- \
 # baseline it warns and skips instead of failing. Every run appends to
 # BENCH_trajectory.json. GEF_PROF=1 also archives a Chrome-trace
 # timeline under results/profiles/ (load it in ui.perfetto.dev).
+# GEF_TRACE=json writes one telemetry report per thread pass, so the
+# gate's timings run with tracing on.
 echo "==> bench regression gate (xp_regress --ci)"
-GEF_PROF=1 cargo run --release -q -p gef-bench --bin xp_regress -- --ci
+GEF_TRACE=json GEF_PROF=1 cargo run --release -q -p gef-bench --bin xp_regress -- --ci
+
+# Telemetry determinism: xp_regress's 1-thread and 4-thread passes run
+# the same seeded phases and must produce reports that agree on every
+# non-timing field (span counts, counters, gauges, the event sequence).
+# telemetry_diff exits nonzero on any divergence.
+echo "==> telemetry determinism (xp_regress t1 vs t4)"
+cargo run --release -q -p gef-bench --bin telemetry_diff -- \
+    results/telemetry/xp_regress_t1.json results/telemetry/xp_regress_t4.json
+
+# Allocation tracking (gef-trace's alloc-track feature): its one test
+# runs under the tracking global allocator, and xp_regress must still
+# build with the allocator installed.
+echo "==> alloc-track (tracking allocator test, xp_regress build)"
+cargo test -q -p gef-trace --features alloc-track --test alloc_track
+cargo build --release -q -p gef-bench --features alloc-track --bin xp_regress
 
 echo "==> cargo test --features fault-injection --test observability"
 cargo test --features fault-injection --test observability -q
@@ -147,8 +152,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # disk-fault path — a panic there would turn a corrupt artifact into a
 # dead server. gef-trace is included because its hooks run inside every
 # other crate, including in Span::drop: a poisoned telemetry lock must
-# not turn one panic into two.
+# not turn one panic into two. It is linted with alloc-track on, so the
+# tracking allocator's code is covered too.
 echo "==> cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace)"
-cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace --lib -- -D warnings
+cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace --lib \
+    --features gef-trace/alloc-track -- -D warnings
 
 echo "CI gate passed."

@@ -29,7 +29,10 @@
 //! Every run (gating or not) appends an entry to
 //! `BENCH_trajectory.json`, building a commit-over-commit timing series.
 //! With `GEF_PROF=1` the run also exports a Chrome-trace timeline under
-//! `results/profiles/`.
+//! `results/profiles/`. Telemetry is collected per thread pass and
+//! emitted as `xp_regress_t1` / `xp_regress_t4`: the two passes run the
+//! same seeded work, so `telemetry_diff` must find their reports equal
+//! on every deterministic field.
 //!
 //! Fault injection: when built with `--features fault-injection`, the
 //! `GEF_FAULTS` variable is armed before measuring (e.g.
@@ -50,7 +53,7 @@ use gef_trace::json::{parse, JsonValue, JsonWriter};
 // off for gating runs.
 #[cfg(feature = "alloc-track")]
 #[global_allocator]
-static ALLOC: gef_prof::TrackingAlloc = gef_prof::TrackingAlloc;
+static ALLOC: gef_trace::mem::TrackingAlloc = gef_trace::mem::TrackingAlloc;
 
 const BASELINE_SCHEMA: &str = "gef-bench/regress-baseline/v1";
 const TRAJECTORY_SCHEMA: &str = "gef-bench/regress-trajectory/v1";
@@ -168,7 +171,6 @@ fn main() {
         &regressions,
     );
     println!("appended to {trajectory_path}");
-    gef_bench::emit_telemetry("xp_regress");
 
     if gate == "fail" {
         for r in &regressions {
@@ -178,10 +180,11 @@ fn main() {
     }
 }
 
-/// Time the four-phase suite at each sweep thread count.
+/// Time the four-phase suite at each sweep thread count, emitting one
+/// telemetry report per thread count.
 fn run_suite(size: RunSize) -> Vec<Measurement> {
     // Shared inputs, built once so every thread count measures identical
-    // work (same protocol as xp_scaling).
+    // work.
     let data = make_d_prime(size.pick(2_000, 8_000, 20_000), 1);
     let label_n = size.pick(20_000, 80_000, 300_000);
     let gam_n = size.pick(2_000, 8_000, 20_000);
@@ -190,6 +193,7 @@ fn run_suite(size: RunSize) -> Vec<Measurement> {
     for &t in &THREADS {
         gef_par::set_threads(t);
         gef_par::prestart();
+        gef_trace::global().reset();
 
         let (forest, train) = timed_run_warmed("xp.regress.forest_train", || {
             train_paper_forest(&data.xs, &data.ys, size, Objective::RegressionL2)
@@ -271,6 +275,7 @@ fn run_suite(size: RunSize) -> Vec<Measurement> {
             key: format!("explain_e2e@t{t}"),
             timing: e2e,
         });
+        gef_bench::emit_telemetry(&format!("xp_regress_t{t}"));
     }
     gef_par::set_threads(1);
     out

@@ -36,7 +36,8 @@
 //! scrape is written to `BENCH_metrics.prom` (the `metrics_check` ci
 //! gate re-validates it).
 //!
-//! Results land in `BENCH_serve.json` (latency p50/p95/p99 in µs —
+//! Results land in `BENCH_serve.json` (client-observed latency
+//! p50/p95/p99 in µs, exact nearest-rank quantiles of the raw samples —
 //! overall and per connection mode — requests-per-second,
 //! shed/degraded/error counts, violations first). Exits nonzero when
 //! any response violates the invariant.
@@ -50,7 +51,6 @@ use gef_bench::chaos::SplitMix;
 use gef_core::GefConfig;
 use gef_forest::{GbdtParams, GbdtTrainer, Objective};
 use gef_serve::{ModelEntry, ServeConfig, Server};
-use gef_trace::hist::Histogram;
 use gef_trace::json::JsonWriter;
 use gef_trace::metrics::Exposition;
 use std::io::{Read, Write};
@@ -428,7 +428,7 @@ fn check_monotonic(prev: &Exposition, next: &Exposition, tally: &Mutex<Tally>) {
 /// Send one seeded request from the closed-loop mix and classify the
 /// answer into the tally. Any invariant breach lands in
 /// `tally.violations` with a replayable description.
-fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: &mut Histogram) {
+fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: &mut Vec<u64>) {
     let ch = conn.mode.conn_header();
     let (request, kind) = match rng.below(10) {
         // A malformed frame: the parser must answer 400, not the
@@ -479,7 +479,7 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
         .split_once("\r\n\r\n")
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
-    latency.record(took.as_micros() as u64);
+    latency.push(took.as_micros() as u64);
     if status == 429 && !raw.to_ascii_lowercase().contains("retry-after:") {
         tally
             .violations
@@ -516,9 +516,17 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
     }
 }
 
+/// Nearest-rank `q`-quantile of ascending `sorted` samples (0 when
+/// empty): the smallest sample with at least `q·n` samples at or below
+/// it, so every reported quantile is a latency a client saw.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
+}
+
 /// Run `clients` closed-loop threads of `requests` requests each under
-/// the given connection mode and merge their tallies and latency
-/// histograms into the shared state.
+/// the given connection mode and merge their tallies and raw latencies
+/// into the shared state.
 fn run_fleet(
     port: u16,
     mode: Mode,
@@ -526,7 +534,7 @@ fn run_fleet(
     requests: usize,
     seed: u64,
     tally: &Mutex<Tally>,
-    latency: &Mutex<Histogram>,
+    latency: &Mutex<Vec<u64>>,
 ) {
     std::thread::scope(|scope| {
         for c in 0..clients {
@@ -534,12 +542,12 @@ fn run_fleet(
                 let mut rng = SplitMix(seed ^ (0x5eed ^ c as u64).wrapping_mul(0x9e37));
                 let mut conn = Conn::new(port, mode);
                 let mut local = Tally::default();
-                let mut hist = Histogram::new();
+                let mut samples = Vec::with_capacity(requests);
                 for _ in 0..requests {
-                    one_request(&mut conn, &mut rng, &mut local, &mut hist);
+                    one_request(&mut conn, &mut rng, &mut local, &mut samples);
                 }
                 tally.lock().expect("tally lock").merge(local);
-                latency.lock().expect("latency lock").merge(&hist);
+                latency.lock().expect("latency lock").extend(samples);
             });
         }
     });
@@ -550,7 +558,7 @@ fn fault_sweep(
     port: u16,
     args: &Args,
     tally: &Mutex<Tally>,
-    latency: &Mutex<Histogram>,
+    latency: &Mutex<Vec<u64>>,
 ) -> Vec<String> {
     use gef_core::faults;
     let mut rng = SplitMix(args.seed);
@@ -594,7 +602,7 @@ fn fault_sweep(
     _port: u16,
     _args: &Args,
     _tally: &Mutex<Tally>,
-    _latency: &Mutex<Histogram>,
+    _latency: &Mutex<Vec<u64>>,
 ) -> Vec<String> {
     eprintln!(
         "xp_serve: built without --features fault-injection; skipping the fault-schedule sweep"
@@ -632,23 +640,22 @@ fn main() {
     );
 
     let tally = Mutex::new(Tally::default());
-    let latency = Mutex::new(Histogram::new());
+    let latency = Mutex::new(Vec::new());
 
     // Warmup: sequential, untallied-latency requests (counted for
     // invariants only — a warmup violation is still a violation).
     {
         let mut warm = Tally::default();
-        let mut hist = Histogram::new();
         let mut rng = SplitMix(args.seed ^ 0xcafe);
         let mut conn = Conn::new(port, Mode::Close);
         for _ in 0..3 {
-            one_request(&mut conn, &mut rng, &mut warm, &mut hist);
+            one_request(&mut conn, &mut rng, &mut warm, &mut Vec::new());
         }
         tally.lock().expect("tally lock").merge(warm);
     }
 
     // The load phase runs once per connection mode, with its own
-    // latency histogram, so the per-request connection-setup cost is
+    // latency samples, so the per-request connection-setup cost is
     // visible: keep-alive p50 should sit below the close-per-request
     // p50 on the same request mix.
     struct ModeStats {
@@ -661,7 +668,7 @@ fn main() {
     let mut mode_stats: Vec<ModeStats> = Vec::new();
     let mut load_elapsed = 0.0f64;
     for mode in [Mode::Close, Mode::KeepAlive] {
-        let hist = Mutex::new(Histogram::new());
+        let samples = Mutex::new(Vec::new());
         let t_load = Instant::now();
         run_fleet(
             port,
@@ -670,24 +677,25 @@ fn main() {
             args.requests,
             args.seed ^ (mode as u64) << 32,
             &tally,
-            &hist,
+            &samples,
         );
         let elapsed = t_load.elapsed().as_secs_f64();
         load_elapsed += elapsed;
-        let hist = hist.into_inner().expect("mode latency lock");
+        let mut samples = samples.into_inner().expect("mode latency lock");
+        samples.sort_unstable();
         let requests = (args.clients * args.requests) as f64;
         mode_stats.push(ModeStats {
             mode: mode.label(),
-            p50: hist.quantile(0.50),
-            p95: hist.quantile(0.95),
-            p99: hist.quantile(0.99),
+            p50: nearest_rank(&samples, 0.50),
+            p95: nearest_rank(&samples, 0.95),
+            p99: nearest_rank(&samples, 0.99),
             rps: if elapsed > 0.0 {
                 requests / elapsed
             } else {
                 0.0
             },
         });
-        latency.lock().expect("latency lock").merge(&hist);
+        latency.lock().expect("latency lock").extend(samples);
     }
 
     // Mid-run scrape: the exposition must parse while the server is
@@ -745,7 +753,13 @@ fn main() {
     }
 
     let tally = tally.into_inner().expect("tally lock");
-    let latency = latency.into_inner().expect("latency lock");
+    let mut latency = latency.into_inner().expect("latency lock");
+    latency.sort_unstable();
+    let (p50, p95, p99) = (
+        nearest_rank(&latency, 0.50),
+        nearest_rank(&latency, 0.95),
+        nearest_rank(&latency, 0.99),
+    );
     // Two load passes: one per connection mode.
     let load_requests = (2 * args.clients * args.requests) as f64;
     let rps = if load_elapsed > 0.0 {
@@ -766,13 +780,10 @@ fn main() {
         tally.server_errors,
         tally.violations.len()
     );
-    if latency.count() > 0 {
+    if !latency.is_empty() {
         println!(
-            "# latency: p50 {} us, p95 {} us, p99 {} us ({:.1} req/s over the load phases)",
-            latency.quantile(0.50),
-            latency.quantile(0.95),
-            latency.quantile(0.99),
-            rps
+            "# latency: p50 {p50} us, p95 {p95} us, p99 {p99} us \
+             ({rps:.1} req/s over the load phases)"
         );
         for m in &mode_stats {
             println!(
@@ -799,9 +810,9 @@ fn main() {
     w.field_u64("client_errors", tally.client_errors);
     w.field_u64("server_errors", tally.server_errors);
     w.field_f64("load_rps", rps);
-    w.field_u64("latency_p50_us", latency.quantile(0.50));
-    w.field_u64("latency_p95_us", latency.quantile(0.95));
-    w.field_u64("latency_p99_us", latency.quantile(0.99));
+    w.field_u64("latency_p50_us", p50);
+    w.field_u64("latency_p95_us", p95);
+    w.field_u64("latency_p99_us", p99);
     w.key("modes");
     w.begin_array();
     for m in &mode_stats {
@@ -839,5 +850,21 @@ fn main() {
     gef_bench::emit_telemetry("xp_serve");
     if !tally.violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_picks_an_observed_sample() {
+        let v: Vec<u64> = (1..=200).collect();
+        assert_eq!(nearest_rank(&v, 0.50), 100);
+        assert_eq!(nearest_rank(&v, 0.95), 190);
+        assert_eq!(nearest_rank(&v, 0.99), 198);
+        assert_eq!(nearest_rank(&v, 1.0), 200);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
     }
 }

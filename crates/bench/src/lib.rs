@@ -171,17 +171,6 @@ impl Timing {
             iters: n,
         }
     }
-
-    /// Write this measurement into a JSON object as
-    /// `<prefix>_s` (median), `<prefix>_min_s`, `<prefix>_stddev_s`,
-    /// and `<prefix>_iters` — the shared field layout of the
-    /// `BENCH_*.json` artifacts.
-    pub fn write_json_fields(&self, w: &mut gef_trace::json::JsonWriter, prefix: &str) {
-        w.field_f64(&format!("{prefix}_s"), self.median_s);
-        w.field_f64(&format!("{prefix}_min_s"), self.min_s);
-        w.field_f64(&format!("{prefix}_stddev_s"), self.stddev_s);
-        w.field_u64(&format!("{prefix}_iters"), self.iters as u64);
-    }
 }
 
 /// Timed iterations per measurement for [`timed_run_warmed`]
@@ -227,8 +216,7 @@ pub fn timed_run<T>(span: &str, f: impl FnOnce() -> T) -> (T, Timing) {
 /// prestarting the pool) so caches, allocator arenas, and branch
 /// predictors are warm, then times [`bench_iters`] iterations and
 /// aggregates them (median / min / stddev) — the measurement protocol
-/// used by `xp_scaling` and the `xp_regress` gate. Returns the last
-/// iteration's value.
+/// of the `xp_regress` gate. Returns the last iteration's value.
 pub fn timed_run_warmed<T>(span: &str, mut f: impl FnMut() -> T) -> (T, Timing) {
     gef_par::prestart();
     let _warmup = f();
@@ -336,17 +324,10 @@ mod tests {
         // Even count: median averages the middle pair.
         let e = Timing::from_samples(&[1.0, 2.0, 3.0, 10.0]);
         assert_eq!(e.median_s, 2.5);
-        // Single sample: no spread, and the json fields still land.
+        // Single sample: no spread.
         let s = Timing::from_samples(&[0.5]);
         assert_eq!(s.stddev_s, 0.0);
         assert_eq!(s.iters, 1);
-        let mut w = gef_trace::json::JsonWriter::new();
-        w.begin_object();
-        s.write_json_fields(&mut w, "phase");
-        w.end_object();
-        let json = w.finish();
-        assert!(json.contains("\"phase_s\":"));
-        assert!(json.contains("\"phase_iters\":1"));
     }
 
     #[test]

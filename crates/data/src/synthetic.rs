@@ -174,6 +174,50 @@ mod tests {
         assert_eq!(h_interaction(0.2, 0.8), h_interaction(0.8, 0.2));
     }
 
+    /// fANOVA split of `h` on a 400×400 midpoint grid: `h` minus its row
+    /// and column means plus the grand mean is the pure-interaction part,
+    /// the only part a pair ranking can detect. The bump is so wide that
+    /// this part is tiny, which is why the planted pairs of `D''` are
+    /// nearly invisible (EXPERIMENTS.md "Known failures").
+    #[test]
+    fn interaction_bump_is_almost_additive() {
+        const N: usize = 400;
+        let grid: Vec<f64> = (0..N).map(|i| (i as f64 + 0.5) / N as f64).collect();
+        let h: Vec<f64> = grid
+            .iter()
+            .flat_map(|&a| grid.iter().map(move |&b| h_interaction(a, b)))
+            .collect();
+        let mean = |v: &mut dyn Iterator<Item = f64>| v.sum::<f64>() / N as f64;
+        let rows: Vec<f64> = (0..N)
+            .map(|i| mean(&mut h[i * N..][..N].iter().copied()))
+            .collect();
+        let cols: Vec<f64> = (0..N)
+            .map(|j| mean(&mut (0..N).map(|i| h[i * N + j])))
+            .collect();
+        let grand = rows.iter().sum::<f64>() / N as f64;
+        let cells = (N * N) as f64;
+        let var_h = h.iter().map(|v| (v - grand).powi(2)).sum::<f64>() / cells;
+        let var_pure = (0..N * N)
+            .map(|k| (h[k] - rows[k / N] - cols[k % N] + grand).powi(2))
+            .sum::<f64>()
+            / cells;
+        let close = |got: f64, want: f64| (got / want - 1.0).abs() <= 0.02;
+        assert!(close(var_pure.sqrt(), 4.24e-4), "sd {:e}", var_pure.sqrt());
+        assert!(
+            close(var_pure / var_h, 1.09e-4),
+            "share {:e}",
+            var_pure / var_h
+        );
+        // Three planted pairs against D'''s label noise: eight N(0, 0.1²)
+        // terms per row.
+        let noise = 8.0 * 0.1 * 0.1;
+        assert!(
+            close(3.0 * var_pure / noise, 6.7e-6),
+            "{:e}",
+            3.0 * var_pure / noise
+        );
+    }
+
     #[test]
     fn g_second_adds_bumps() {
         let x = [0.5; 5];

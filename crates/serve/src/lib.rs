@@ -17,8 +17,8 @@
 //!   state.
 //! * `GET /metrics` — the same signals as Prometheus text exposition
 //!   (format 0.0.4): counters, per-status response tallies, a
-//!   fixed-bucket latency histogram, 1-min/5-min SLO windows, and
-//!   store gauges.
+//!   latency histogram on a power-of-two `le` ladder, 1-min/5-min SLO
+//!   windows, and store gauges.
 //! * `GET /models` — loaded models with their content digests and —
 //!   when the server is store-backed ([`Server::start_with_store`] /
 //!   `gef-serve --store DIR`) — the `gef-store` MRU-cache state and

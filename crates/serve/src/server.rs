@@ -38,7 +38,7 @@ use gef_trace::ctx;
 use gef_trace::hash::to_hex;
 use gef_trace::hist::Histogram;
 use gef_trace::json::{self, JsonValue, JsonWriter};
-use gef_trace::metrics::{FixedHistogram, Outcome, PromWriter, SloWindow};
+use gef_trace::metrics::{Outcome, PromWriter, SloWindow};
 use std::collections::VecDeque;
 use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
@@ -186,10 +186,9 @@ struct Shared {
     queue_ready: Condvar,
     shutdown: AtomicBool,
     counters: Counters,
+    /// `/explain` latency (µs) behind `/stats` and the `/metrics`
+    /// histogram family.
     latency: Mutex<Histogram>,
-    /// Fixed-bucket mirror of `latency` for the `/metrics` histogram
-    /// exposition (Prometheus needs stable bucket bounds).
-    latency_fixed: Mutex<FixedHistogram>,
     /// Rolling per-second SLO accounting behind `/stats`'s `window`
     /// object and the `gef_serve_window_*` gauges.
     window: SloWindow,
@@ -263,7 +262,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             latency: Mutex::new(Histogram::new()),
-            latency_fixed: Mutex::new(FixedHistogram::new()),
             window: SloWindow::new(),
             breaker: Breaker::new(
                 cfg.breaker_threshold,
@@ -597,11 +595,6 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .record(elapsed_us);
-            shared
-                .latency_fixed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(elapsed_us);
             shared.window.record(outcome_of(&resp), Some(elapsed_us));
             count_status(shared, resp.status);
             let elapsed_ms = elapsed_us / 1_000;
@@ -728,9 +721,10 @@ fn handle_stats(shared: &Shared) -> Response {
 }
 
 /// `GET /metrics`: the Prometheus text exposition (format 0.0.4) of
-/// the server's counters, per-status response tallies, fixed-bucket
-/// latency histogram, rolling SLO windows, breaker/queue gauges, and —
-/// when store-backed — MRU-cache and quarantine gauges.
+/// the server's counters, per-status response tallies, the `/explain`
+/// latency histogram (a power-of-two `le` ladder), rolling SLO windows,
+/// breaker/queue gauges, and — when store-backed — MRU-cache and
+/// quarantine gauges.
 fn handle_metrics(shared: &Shared) -> Response {
     let c = &shared.counters;
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -830,10 +824,7 @@ fn handle_metrics(shared: &Shared) -> Response {
     );
 
     {
-        let h = shared
-            .latency_fixed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let h = shared.latency.lock().unwrap_or_else(|e| e.into_inner());
         w.histogram(
             "gef_serve_explain_latency_us",
             "Wall-clock /explain latency in microseconds.",
@@ -985,7 +976,7 @@ fn handle_metrics(shared: &Shared) -> Response {
     w.metric(
         "gef_serve_window_p99_us",
         "gauge",
-        "Rolling bucket-estimate p99 /explain latency (microseconds).",
+        "Rolling p99 /explain latency (microseconds): its histogram bucket's floor.",
     );
     for (label, s) in &windows {
         w.sample_u64("gef_serve_window_p99_us", &[("window", label)], s.p99_us);

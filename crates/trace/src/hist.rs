@@ -1,11 +1,17 @@
 //! Log-linear histogram for latency-style values.
 //!
-//! Values (nanoseconds, counts, …) are bucketed on a log-linear grid: one
-//! major bucket per power of two of the value, each subdivided into
-//! [`SUB_BUCKETS`] linear sub-buckets. This bounds the relative quantile
-//! error at `1 / SUB_BUCKETS` (25%) per estimate while keeping the whole
-//! histogram a fixed 256 × `u64` array — cheap enough to keep one per
-//! instrumented site and merge without allocation.
+//! Values (nanoseconds, microseconds, counts, …) are bucketed on a
+//! log-linear grid: one major bucket per power of two of the value, each
+//! subdivided into [`SUB_BUCKETS`] linear sub-buckets. This bounds the
+//! relative quantile error at `1 / SUB_BUCKETS` (25%) per estimate. The
+//! 256 × `u64` bucket array (2 KB) is allocated on the first
+//! [`Histogram::record`], so an empty histogram, such as an idle
+//! SLO-window slot, holds only its exact statistics.
+//!
+//! Every power of two is a bucket edge, so the number of observations
+//! below `2^k` is exact ([`Histogram::count_below_pow2`]); the
+//! Prometheus `le` ladder of [`crate::metrics::PromWriter::histogram`]
+//! is placed on those edges.
 
 /// Number of power-of-two major buckets (covers the full `u64` range).
 pub const MAJOR_BUCKETS: usize = 64;
@@ -14,36 +20,27 @@ pub const SUB_BUCKETS: usize = 4;
 /// Total bucket count of a [`Histogram`].
 pub const NUM_BUCKETS: usize = MAJOR_BUCKETS * SUB_BUCKETS;
 
-/// Fixed-size log-linear histogram with exact `count`/`sum`/`min`/`max`.
+/// Log-linear histogram with exact `count`/`sum`/`min`/`max`.
 ///
 /// Quantiles ([`Histogram::quantile`]) are estimated from the bucket grid;
 /// everything else is exact. The histogram is a plain value type — thread
 /// safety is provided by the registry that owns it.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Histogram {
-    buckets: Box<[u64; NUM_BUCKETS]>,
+    /// `None` until the first observation.
+    buckets: Option<Box<[u64; NUM_BUCKETS]>>,
     count: u64,
     sum: u64,
+    /// Meaningful only while `count > 0`.
     min: u64,
     max: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Histogram {
-    /// Create an empty histogram.
+    /// Create an empty histogram; it allocates nothing until the first
+    /// [`Histogram::record`].
     pub fn new() -> Self {
-        Histogram {
-            buckets: Box::new([0u64; NUM_BUCKETS]),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        Histogram::default()
     }
 
     /// Index of the bucket that `value` falls into.
@@ -76,17 +73,22 @@ impl Histogram {
         (1u64 << msb) + (sub << (msb - 2))
     }
 
+    fn buckets_mut(&mut self) -> &mut [u64; NUM_BUCKETS] {
+        self.buckets
+            .get_or_insert_with(|| Box::new([0; NUM_BUCKETS]))
+    }
+
     /// Record one observation.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
+        self.buckets_mut()[Self::bucket_index(value)] += 1;
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
     }
 
     /// Number of recorded observations.
@@ -101,11 +103,7 @@ impl Histogram {
 
     /// Exact minimum recorded value, or 0 if empty.
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Exact maximum recorded value, or 0 if empty.
@@ -128,14 +126,14 @@ impl Histogram {
     /// clamped to the exact `[min, max]` range, so single-bucket
     /// distributions return exact values.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let Some(buckets) = &self.buckets else {
             return 0;
-        }
+        };
         let q = q.clamp(0.0, 1.0);
         // Rank of the target observation (1-based, rounded up).
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
+        for (idx, &n) in buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
                 return Self::bucket_floor(idx).clamp(self.min, self.max);
@@ -144,21 +142,29 @@ impl Histogram {
         self.max
     }
 
+    /// Exact number of observations below `2^k` (`k` is capped at 63):
+    /// `2^k` is a bucket edge, so no bucket straddles it.
+    pub fn count_below_pow2(&self, k: u32) -> u64 {
+        let edge = Self::bucket_index(1u64 << k.min(63));
+        self.buckets.as_ref().map_or(0, |b| b[..edge].iter().sum())
+    }
+
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        let Some(theirs) = &other.buckets else {
+            return;
+        };
+        for (a, b) in self.buckets_mut().iter_mut().zip(theirs.iter()) {
             *a += *b;
         }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
     }
 }
 
@@ -168,7 +174,9 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zeroed() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
+        h.merge(&Histogram::new());
+        assert!(h.buckets.is_none(), "no buckets before the first record");
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0);
         assert_eq!(h.min(), 0);
@@ -254,5 +262,52 @@ mod tests {
         assert_eq!(a.min(), 1);
         assert_eq!(a.max(), 100);
         assert_eq!(a.sum(), 111);
+    }
+
+    /// The `/metrics` rendering is exact: every `le` rung counts exactly
+    /// the observations `≤ le`, the `+Inf` rung equals `_count`, and the
+    /// exposition validates.
+    #[test]
+    fn prometheus_ladder_counts_are_exact() {
+        let mut rng = crate::rng::Rng::seed(17);
+        let mut values: Vec<u64> = (0..5_000)
+            .map(|_| {
+                // Log-uniform over 1 µs .. 16 s, so every rung is crossed.
+                let v = 2f64.powf(24.0 * rng.unit()) as u64;
+                // A third land on a rung or one past it: the edge cases.
+                match rng.below(6) {
+                    0 => v.next_power_of_two(),
+                    1 => v.next_power_of_two() - 1,
+                    _ => v,
+                }
+            })
+            .collect();
+        values.push(0);
+        values.push(u64::MAX / 2);
+        let mut h = Histogram::new();
+        for &v in &values {
+            h.record(v);
+        }
+        let mut w = crate::metrics::PromWriter::new();
+        w.histogram("gef_demo_us", "Demo latency (µs).", &h);
+        let exposition = crate::metrics::validate(&w.finish()).expect("ladder validates");
+        let rungs = exposition.named("gef_demo_us_bucket");
+        assert!(rungs.len() > 10);
+        for rung in &rungs {
+            let le = rung.label("le").expect("le label");
+            let want = match le {
+                "+Inf" => values.len(),
+                le => {
+                    let le: u64 = le.parse().expect("integer le");
+                    values.iter().filter(|&&v| v <= le).count()
+                }
+            };
+            assert_eq!(rung.value, want as f64, "le={le}");
+        }
+        assert_eq!(rungs.last().and_then(|r| r.label("le")), Some("+Inf"));
+        assert_eq!(
+            exposition.value("gef_demo_us_count"),
+            Some(rungs.last().map_or(0.0, |r| r.value))
+        );
     }
 }

@@ -45,9 +45,9 @@
 //! rings that [`timeline`] exports as Chrome Trace Event Format JSON,
 //! and the event log above. [`ctx`] holds the one per-thread [`ctx::Scope`]
 //! stack (run budget, trace id, span path), and [`mem`] the allocation
-//! counters fed by the `gef-prof` tracking allocator. [`json`] is the
-//! workspace's one JSON stack (writer, parser, typed reads) and [`rng`]
-//! its one seeded random-number generator.
+//! counters and the `alloc-track` feature's tracking allocator. [`json`]
+//! is the workspace's one JSON stack (writer, parser, typed reads) and
+//! [`rng`] its one seeded random-number generator.
 //!
 //! # Example
 //!
@@ -408,9 +408,9 @@ impl Telemetry {
             })
             .collect();
         if mem::tracking() {
-            // Surface the allocator totals whenever the gef-prof
-            // tracking allocator is feeding them (the `mem.*` namespace
-            // is excluded from CI determinism diffs, like `par.*`).
+            // Surface the allocator totals whenever the tracking
+            // allocator is feeding them (the `mem.*` namespace is
+            // excluded from CI determinism diffs, like `par.*`).
             let m = mem::stats();
             gauges.push(report::GaugeStat {
                 name: "mem.allocs_total".to_string(),

@@ -1,22 +1,30 @@
-//! Allocation counters fed by the `gef-prof` instrumented allocator.
+//! Allocation counters and the instrumented allocator that feeds them.
 //!
-//! This module is the *sink* side of the workspace's memory
-//! observability: it holds four relaxed atomics (allocation count,
-//! bytes allocated, bytes currently in use, peak in use) that the
-//! `gef-prof` crate's `TrackingAlloc` global allocator increments from
-//! its `alloc`/`dealloc` hooks. It lives here — below every other
-//! crate — so [`crate::Span`] can attribute allocation deltas to span
-//! paths and [`crate::Telemetry::snapshot`] can surface totals as
-//! gauges without `gef-trace` depending on anything.
+//! Four relaxed atomics (allocation count, bytes allocated, bytes
+//! currently in use, peak in use) live here, below every other crate,
+//! so [`crate::Span`] can attribute allocation deltas to span paths and
+//! [`crate::Telemetry::snapshot`] can surface totals as gauges. With the
+//! `alloc-track` feature, `TrackingAlloc` wraps [`std::alloc::System`]
+//! and counts every allocation; a binary opts in with
 //!
-//! Without the allocator installed (the default: `alloc-track` is a
-//! feature of `gef-prof`, off unless a binary opts in), every counter
-//! stays zero, [`tracking`] reports `false`, and no span or snapshot
-//! records any `mem.*` metric — the module is dormant.
+//! ```ignore
+//! #[global_allocator]
+//! static ALLOC: gef_trace::mem::TrackingAlloc = gef_trace::mem::TrackingAlloc;
+//! ```
+//!
+//! and profiled runs (`GEF_PROF`, see [`crate::timeline`]) then also get
+//! a `heap.in_use_bytes` counter track in the chrome trace.
+//!
+//! Without the allocator installed (the default), every counter stays
+//! zero, [`tracking`] reports `false`, and no span or snapshot records
+//! any `mem.*` metric: the module is dormant and outputs are identical
+//! to a build without it.
 //!
 //! The hooks themselves never allocate and never lock: they are safe to
 //! call from inside a global allocator.
 
+#[cfg(feature = "alloc-track")]
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -44,8 +52,8 @@ pub struct MemStats {
     pub peak_bytes: u64,
 }
 
-/// Record one allocation of `size` bytes. Called by the `gef-prof`
-/// tracking allocator; allocation-free and lock-free.
+/// Record one allocation of `size` bytes. Called by the tracking
+/// allocator; allocation-free and lock-free.
 #[inline]
 pub fn on_alloc(size: usize) {
     let size = size as u64;
@@ -55,8 +63,8 @@ pub fn on_alloc(size: usize) {
     PEAK.fetch_max(now, Ordering::Relaxed);
 }
 
-/// Record one deallocation of `size` bytes. Called by the `gef-prof`
-/// tracking allocator; allocation-free and lock-free.
+/// Record one deallocation of `size` bytes. Called by the tracking
+/// allocator; allocation-free and lock-free.
 #[inline]
 pub fn on_dealloc(size: usize) {
     let size = size as u64;
@@ -89,6 +97,54 @@ pub fn stats() -> MemStats {
         bytes_freed: BYTES_FREED.load(Ordering::Relaxed),
         in_use_bytes: IN_USE.load(Ordering::Relaxed),
         peak_bytes: PEAK.load(Ordering::Relaxed),
+    }
+}
+
+/// Instrumented global allocator: forwards to [`System`] and counts
+/// every allocation into this module's counters.
+///
+/// Install per binary (see the module docs). Overhead is a handful of
+/// relaxed atomic adds per alloc/dealloc, measurable on
+/// allocation-heavy hot loops; leave the feature off for timing runs.
+///
+/// [`System`]: std::alloc::System
+#[cfg(feature = "alloc-track")]
+pub struct TrackingAlloc;
+
+// SAFETY: delegates every operation to System and only adds
+// allocation-free, lock-free counter updates around the calls.
+#[cfg(feature = "alloc-track")]
+unsafe impl GlobalAlloc for TrackingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            on_alloc(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            on_alloc(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) };
+        on_dealloc(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            // Count as free(old) + alloc(new) so byte totals and the
+            // in-use gauge stay exact.
+            on_dealloc(layout.size());
+            on_alloc(new_size);
+        }
+        p
     }
 }
 

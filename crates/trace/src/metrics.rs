@@ -1,15 +1,12 @@
-//! Zero-dependency Prometheus text exposition, fixed-bucket latency
-//! histograms, and rolling SLO windows.
+//! Zero-dependency Prometheus text exposition and rolling SLO windows.
 //!
-//! Three pieces, all dependency-free:
+//! Two pieces, both dependency-free:
 //!
 //! - [`PromWriter`] renders the Prometheus text format (version 0.0.4:
 //!   `# HELP` / `# TYPE` comments followed by `name{labels} value`
-//!   samples) for the serve layer's `GET /metrics` endpoint.
-//! - [`FixedHistogram`] counts observations into a fixed, publicly
-//!   known bucket ladder ([`LATENCY_BUCKETS_US`]) — unlike
-//!   [`crate::hist::Histogram`]'s log-linear internals, Prometheus
-//!   histograms need stable, queryable `le` boundaries.
+//!   samples) for the serve layer's `GET /metrics` endpoint. Histogram
+//!   families come from [`Histogram`], rendered on a fixed power-of-two
+//!   `le` ladder that sits on its bucket edges, so every count is exact.
 //! - [`SloWindow`] keeps a ring of per-second slots so `/metrics` and
 //!   `/stats` can report *rolling* 1-min / 5-min success, shed, and
 //!   degraded rates plus a windowed p99, instead of lifetime
@@ -20,104 +17,16 @@
 //! the samples so harnesses (`xp_serve`, `metrics_check`) can both lint
 //! the format and reconcile counter values against client-side tallies.
 
+use crate::hist::Histogram;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Fixed `le` boundaries (microseconds) for explain-latency histograms:
-/// 100 µs to 5 s, roughly 2.5× apart, plus the implicit `+Inf` bucket.
-pub const LATENCY_BUCKETS_US: [u64; 15] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 2_500_000, 5_000_000,
-];
-
-const N_BUCKETS: usize = LATENCY_BUCKETS_US.len() + 1; // + the +Inf bucket
-
-/// A histogram over the fixed [`LATENCY_BUCKETS_US`] ladder, counting
-/// values in microseconds. Buckets here are *non*-cumulative; the
-/// writer accumulates when rendering `_bucket` series.
-#[derive(Clone)]
-pub struct FixedHistogram {
-    counts: [u64; N_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for FixedHistogram {
-    fn default() -> Self {
-        FixedHistogram::new()
-    }
-}
-
-impl FixedHistogram {
-    /// An empty histogram.
-    pub fn new() -> FixedHistogram {
-        FixedHistogram {
-            counts: [0; N_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    fn bucket_index(us: u64) -> usize {
-        LATENCY_BUCKETS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(N_BUCKETS - 1)
-    }
-
-    /// Count one observation of `us` microseconds.
-    pub fn record(&mut self, us: u64) {
-        self.counts[Self::bucket_index(us)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(us);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (µs, saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Per-bucket (non-cumulative) counts, `+Inf` last.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bucket-upper-bound quantile estimate in µs (the `+Inf` bucket
-    /// reports the largest finite boundary — good enough for an SLO
-    /// gauge, exact values live in `/stats`).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return LATENCY_BUCKETS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]);
-            }
-        }
-        LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]
-    }
-
-    /// Fold `other` into `self`.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-}
+/// Exponents `k` of the `le` ladder [`PromWriter::histogram`] renders:
+/// `le = 2^k − 1`, the largest integer below the bucket edge `2^k`, so
+/// `≤ le` counts exactly the integer observations below the edge. On a
+/// microsecond histogram the ladder runs from 127 µs to about 8.4 s.
+const LADDER_POW2: std::ops::RangeInclusive<u32> = 7..=23;
 
 // ----------------------------------------------------------------------
 // Rolling SLO windows
@@ -145,7 +54,7 @@ struct Slot {
     degraded: u64,
     shed: u64,
     errors: u64,
-    latency: FixedHistogram,
+    latency: Histogram,
 }
 
 impl Slot {
@@ -157,7 +66,7 @@ impl Slot {
             degraded: 0,
             shed: 0,
             errors: 0,
-            latency: FixedHistogram::new(),
+            latency: Histogram::new(),
         }
     }
 }
@@ -184,7 +93,9 @@ pub struct WindowSummary {
     pub shed_rate: f64,
     /// `degraded / total` (0.0 on an empty window).
     pub degraded_rate: f64,
-    /// Bucket-estimate p99 latency (µs) of requests that recorded one.
+    /// p99 latency (µs) of requests that recorded one: the floor of the
+    /// [`Histogram`] bucket holding the 99th-percentile observation (up to
+    /// 25% below it), clamped to the observed range. Not an upper bound.
     pub p99_us: u64,
     /// Observations behind `p99_us`.
     pub latency_count: u64,
@@ -193,7 +104,9 @@ pub struct WindowSummary {
 /// The longest window any caller may ask for, in seconds.
 pub const MAX_WINDOW_SECS: u64 = 300;
 
-/// A ring of [`MAX_WINDOW_SECS`] per-second slots. Internally locked:
+/// A ring of [`MAX_WINDOW_SECS`] per-second slots. A slot's latency
+/// histogram allocates its buckets on its first observation, so an idle
+/// ring costs no bucket arrays. Internally locked:
 /// server worker threads record concurrently, `/metrics` scrapes
 /// summarize concurrently. Time is monotonic (process-relative), so
 /// wall-clock jumps never corrupt the ring.
@@ -263,7 +176,7 @@ impl SloWindow {
             window_secs,
             ..WindowSummary::default()
         };
-        let mut latency = FixedHistogram::new();
+        let mut latency = Histogram::new();
         {
             let slots = crate::lock(&self.slots);
             for slot in slots.iter() {
@@ -362,15 +275,16 @@ impl PromWriter {
         self.sample(name, labels, value as f64);
     }
 
-    /// Emit a full histogram family (header + cumulative `_bucket`
-    /// series over [`LATENCY_BUCKETS_US`] + `_sum` + `_count`).
-    pub fn histogram(&mut self, name: &str, help: &str, hist: &FixedHistogram) {
+    /// Emit a full histogram family: the header, cumulative `_bucket`
+    /// series at `le = 2^k − 1` for `k` in 7..=23 plus `+Inf`, `_sum` and
+    /// `_count`. Each `2^k` is a [`Histogram`] bucket edge, so every
+    /// rung's count is exact.
+    pub fn histogram(&mut self, name: &str, help: &str, hist: &Histogram) {
         self.metric(name, "histogram", help);
         let bucket = format!("{name}_bucket");
-        let mut cumulative = 0u64;
-        for (i, &le) in LATENCY_BUCKETS_US.iter().enumerate() {
-            cumulative += hist.bucket_counts()[i];
-            self.sample_u64(&bucket, &[("le", &le.to_string())], cumulative);
+        for k in LADDER_POW2 {
+            let le = ((1u64 << k) - 1).to_string();
+            self.sample_u64(&bucket, &[("le", &le)], hist.count_below_pow2(k));
         }
         self.sample_u64(&bucket, &[("le", "+Inf")], hist.count());
         self.sample_u64(&format!("{name}_sum"), &[], hist.sum());
@@ -471,15 +385,16 @@ fn parse_labels(raw: &str) -> Result<Vec<(String, String)>, String> {
             return Err(format!("label value for {key:?} is not quoted"));
         }
         let mut j = eq + 2;
-        let mut val = String::new();
+        // Collect raw bytes and decode once, so a multi-byte UTF-8
+        // value reads back as written.
+        let mut val = Vec::new();
         loop {
             match bytes.get(j) {
                 None => return Err(format!("unterminated label value for {key:?}")),
                 Some(b'\\') => {
                     match bytes.get(j + 1) {
-                        Some(b'\\') => val.push('\\'),
-                        Some(b'"') => val.push('"'),
-                        Some(b'n') => val.push('\n'),
+                        Some(&b @ (b'\\' | b'"')) => val.push(b),
+                        Some(b'n') => val.push(b'\n'),
                         other => return Err(format!("bad escape {other:?} in {key:?}")),
                     }
                     j += 2;
@@ -489,11 +404,13 @@ fn parse_labels(raw: &str) -> Result<Vec<(String, String)>, String> {
                     break;
                 }
                 Some(&b) => {
-                    val.push(b as char);
+                    val.push(b);
                     j += 1;
                 }
             }
         }
+        let val = String::from_utf8(val)
+            .map_err(|e| format!("label value for {key:?} is not UTF-8: {e}"))?;
         out.push((key, val));
         match bytes.get(j) {
             None => break,
@@ -663,24 +580,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_histogram_buckets_and_quantile() {
-        let mut h = FixedHistogram::new();
-        for us in [50, 200, 200, 900, 40_000, 9_000_000] {
-            h.record(us);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 50 + 200 + 200 + 900 + 40_000 + 9_000_000);
-        // 50 -> le=100; 200 x2 -> le=250; 900 -> le=1000; 40k -> le=50k;
-        // 9s -> +Inf.
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[1], 2);
-        assert_eq!(h.bucket_counts()[N_BUCKETS - 1], 1);
-        assert_eq!(h.quantile(0.5), 250);
-        assert_eq!(h.quantile(1.0), 5_000_000);
-        assert_eq!(FixedHistogram::new().quantile(0.99), 0);
-    }
-
-    #[test]
     fn slo_window_rolls_and_rates() {
         let w = SloWindow::new();
         // 10 requests at t=100: 8 ok, 1 degraded, 1 shed.
@@ -712,7 +611,7 @@ mod tests {
 
     #[test]
     fn writer_output_validates_round_trip() {
-        let mut h = FixedHistogram::new();
+        let mut h = Histogram::new();
         h.record(700);
         h.record(90);
         let mut w = PromWriter::new();
@@ -728,7 +627,7 @@ mod tests {
         assert_eq!(parsed.value("gef_demo_queue_depth"), Some(2.0));
         assert_eq!(parsed.value("gef_demo_latency_us_count"), Some(2.0));
         let buckets = parsed.named("gef_demo_latency_us_bucket");
-        assert_eq!(buckets.len(), LATENCY_BUCKETS_US.len() + 1);
+        assert_eq!(buckets.len(), LADDER_POW2.count() + 1);
         assert_eq!(buckets.last().unwrap().label("le"), Some("+Inf"));
     }
 
@@ -758,11 +657,13 @@ mod tests {
     #[test]
     fn validator_handles_labels_and_escapes() {
         let text = "# HELP gef_y a\\nmultiline help\n# TYPE gef_y gauge\n\
-                    gef_y{path=\"a\\\"b\\\\c\",kind=\"x\"} 1.5\n";
+                    gef_y{path=\"a\\\"b\\\\c\",kind=\"x\"} 1.5\n\
+                    gef_y{path=\"é\"} 2\n";
         let parsed = validate(text).expect("escaped labels parse");
         let s = &parsed.samples[0];
         assert_eq!(s.label("path"), Some("a\"b\\c"));
         assert_eq!(s.label("kind"), Some("x"));
         assert!((s.value - 1.5).abs() < 1e-12);
+        assert_eq!(parsed.samples[1].label("path"), Some("é"));
     }
 }

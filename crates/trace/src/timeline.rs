@@ -289,11 +289,11 @@ pub fn emit(label: &str) -> Option<std::path::PathBuf> {
     }
     match export_chrome_to(std::path::Path::new("results/profiles"), label) {
         Ok(path) => {
-            eprintln!("gef-prof: wrote {}", path.display());
+            eprintln!("gef-trace: wrote {}", path.display());
             Some(path)
         }
         Err(e) => {
-            eprintln!("gef-prof: failed to write chrome trace: {e}");
+            eprintln!("gef-trace: failed to write chrome trace: {e}");
             None
         }
     }

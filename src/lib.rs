@@ -17,7 +17,6 @@ pub use gef_forest as forest;
 pub use gef_gam as gam;
 pub use gef_linalg as linalg;
 pub use gef_par as par;
-pub use gef_prof as prof;
 pub use gef_serve as serve;
 pub use gef_store as store;
 pub use gef_trace as trace;
