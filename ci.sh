@@ -101,10 +101,13 @@ cargo run --release -q -p gef-bench --features fault-injection \
 
 # Serve gate: boot the explanation service on an ephemeral port inside
 # xp_serve and hammer it with a fixed-seed closed-loop fleet (4 clients
-# x 40 requests against 2 workers and a 2-deep queue, then one
+# x 40 requests against 2 workers and a 2-deep queue, then 3 idle
+# keep-alive sockets with fresh requests timed behind them, then one
 # GEF_FAULTS schedule under load). The harness exits nonzero if any
 # response leaves the typed-status envelope, a 429 lacks Retry-After,
-# a socket hangs, or the drained server still answers.
+# a socket hangs, the drained server still answers, a fresh request
+# behind the idle sockets waits over 5 ms in the queue, or the fresh
+# close-mode /predict p50 reaches 1 ms.
 echo "==> serve gate (xp_serve --ci)"
 cargo run --release -q -p gef-bench --features fault-injection \
     --bin xp_serve -- --ci
@@ -118,6 +121,8 @@ echo "==> metrics exposition gate (metrics_check BENCH_metrics.prom)"
 cargo run --release -q -p gef-bench --bin metrics_check -- BENCH_metrics.prom \
     --require gef_serve_responses_total \
     --require gef_serve_explain_latency_us_bucket \
+    --require gef_serve_queue_wait_us_bucket \
+    --require gef_serve_explain_coalesced_total \
     --require gef_serve_window_success_ratio
 
 # Store-durability gate: a seeded crash/corruption sweep over the four

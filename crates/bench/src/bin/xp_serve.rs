@@ -16,7 +16,12 @@
 //!    framed by `content-length`, reconnecting whenever the server
 //!    closes), so per-request connection cost is measured separately
 //!    from service time;
-//! 3. **faults** — `--schedules` random `GEF_FAULTS` schedules (same
+//! 3. **idle** — `workers + 1` keep-alive clients each get one answer
+//!    and then hold their sockets open without sending, and fresh
+//!    `Connection: close` `/predict`s are timed behind them, each with
+//!    the queue wait the server reports (`x-gef-queue-wait-us`): idle
+//!    sockets must not hold workers, so the front end's own cost shows;
+//! 4. **faults** — `--schedules` random `GEF_FAULTS` schedules (same
 //!    generator as `xp_chaos`; requires `--features fault-injection`,
 //!    otherwise the phase is skipped with a note), each armed
 //!    process-wide while a small client fleet keeps load on the server.
@@ -39,8 +44,12 @@
 //! Results land in `BENCH_serve.json` (client-observed latency
 //! p50/p95/p99 in µs, exact nearest-rank quantiles of the raw samples —
 //! overall and per connection mode — requests-per-second,
-//! shed/degraded/error counts, violations first). Exits nonzero when
-//! any response violates the invariant.
+//! shed/degraded/error counts, the idle phase, violations first). Exits
+//! nonzero when any response violates the invariant. Under `--ci` the
+//! idle phase is gated too: a fresh request whose server-reported queue
+//! wait exceeds [`MAX_IDLE_QUEUE_WAIT_US`], or a fresh close-mode
+//! `/predict` p50 of [`MAX_IDLE_PREDICT_P50_US`] or more, is a
+//! violation.
 //!
 //! Flags: `--ci` (fixed small load: 4 clients × 40 requests, 1 fault
 //! schedule — the ci.sh gate), `--clients N` (default 8),
@@ -57,6 +66,20 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// `--ci` gate: the most queue wait the server may report for a fresh
+/// request while `workers + 1` keep-alive sockets sit idle.
+const MAX_IDLE_QUEUE_WAIT_US: u64 = 5_000;
+
+/// `--ci` gate: fresh close-mode `/predict`s of the idle phase must
+/// answer below this p50.
+const MAX_IDLE_PREDICT_P50_US: u64 = 1_000;
+
+/// Fresh requests timed in the idle phase.
+const IDLE_FRESH_REQUESTS: usize = 40;
+
+/// The `/predict` body every predict request sends.
+const PREDICT: &str = r#"{"instance":[0.3,0.7,0.2]}"#;
 
 struct Args {
     clients: usize,
@@ -449,10 +472,7 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
             ),
             "tight",
         ),
-        2 => (
-            post("/predict", r#"{"instance":[0.3,0.7,0.2]}"#, "", ch),
-            "predict",
-        ),
+        2 => (post("/predict", PREDICT, "", ch), "predict"),
         _ => {
             let x: Vec<String> = (0..3).map(|_| format!("{:.3}", rng.unit())).collect();
             (
@@ -466,13 +486,26 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
             )
         }
     };
+    send(conn, &request, kind, tally, latency);
+}
+
+/// Send one request, time it into `latency`, check the answer against
+/// the invariant and count it into the tally. Returns the raw response
+/// when one arrived.
+fn send(
+    conn: &mut Conn,
+    request: &[u8],
+    kind: &str,
+    tally: &mut Tally,
+    latency: &mut Vec<u64>,
+) -> Option<String> {
     tally.requests += 1;
     let mode = conn.mode.label();
-    let (status, raw, took) = match conn.exchange(&request) {
+    let (status, raw, took) = match conn.exchange(request) {
         Ok(ok) => ok,
         Err(v) => {
             tally.violations.push(format!("[{kind}/{mode}] {v}"));
-            return;
+            return None;
         }
     };
     let body = raw
@@ -484,19 +517,19 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
         tally
             .violations
             .push(format!("[{kind}/{mode}] 429 without a Retry-After header"));
-        return;
+        return Some(raw);
     }
     if !ALLOWED.contains(&status) {
         tally.violations.push(format!(
             "[{kind}/{mode}] unexpected status {status}: {body}"
         ));
-        return;
+        return Some(raw);
     }
     if !(body.contains("\"ok\"") || body.contains("\"error\"")) {
         tally.violations.push(format!(
             "[{kind}/{mode}] body is not a typed envelope: {body:?}"
         ));
-        return;
+        return Some(raw);
     }
     match status {
         200 => {
@@ -513,6 +546,68 @@ fn one_request(conn: &mut Conn, rng: &mut SplitMix, tally: &mut Tally, latency: 
         504 => tally.deadline_trips += 1,
         400 | 404 | 405 | 413 | 501 => tally.client_errors += 1,
         _ => tally.server_errors += 1,
+    }
+    Some(raw)
+}
+
+/// What the idle phase measured.
+struct IdlePhase {
+    /// Keep-alive sockets held idle while the fresh requests ran.
+    sockets: usize,
+    /// Client latency of each fresh `/predict` (µs), ascending.
+    predict_us: Vec<u64>,
+    /// The largest queue wait the server reported for a fresh request.
+    queue_wait_max_us: u64,
+}
+
+/// The numeric value of response header `name` (any case) in a raw
+/// response.
+fn header_u64(raw: &str, name: &str) -> Option<u64> {
+    let head = raw.split("\r\n\r\n").next()?;
+    head.lines().skip(1).find_map(|line| {
+        let (k, v) = line.split_once(':')?;
+        k.eq_ignore_ascii_case(name)
+            .then(|| v.trim().parse().ok())
+            .flatten()
+    })
+}
+
+/// `sockets` keep-alive clients each get one `/predict` answer and then
+/// sit idle with their sockets open; [`IDLE_FRESH_REQUESTS`] fresh
+/// close-mode `/predict`s are then timed one after another. A server
+/// that held a worker per idle socket would queue every fresh request
+/// behind a read timeout.
+fn idle_phase(port: u16, sockets: usize, tally: &Mutex<Tally>) -> IdlePhase {
+    let mut t = Tally::default();
+    let mut held = Vec::with_capacity(sockets);
+    for _ in 0..sockets {
+        let mut conn = Conn::new(port, Mode::KeepAlive);
+        let request = post("/predict", PREDICT, "", Mode::KeepAlive.conn_header());
+        send(&mut conn, &request, "idle", &mut t, &mut Vec::new());
+        held.push(conn);
+    }
+    let mut predict_us = Vec::with_capacity(IDLE_FRESH_REQUESTS);
+    let mut queue_wait_max_us = 0;
+    let mut fresh = Conn::new(port, Mode::Close);
+    let request = post("/predict", PREDICT, "", Mode::Close.conn_header());
+    for _ in 0..IDLE_FRESH_REQUESTS {
+        let Some(raw) = send(&mut fresh, &request, "fresh", &mut t, &mut predict_us) else {
+            continue;
+        };
+        match header_u64(&raw, "x-gef-queue-wait-us") {
+            Some(us) => queue_wait_max_us = queue_wait_max_us.max(us),
+            None => t
+                .violations
+                .push("[fresh/close] answer without x-gef-queue-wait-us".into()),
+        }
+    }
+    drop(held);
+    predict_us.sort_unstable();
+    tally.lock().expect("tally lock").merge(t);
+    IdlePhase {
+        sockets,
+        predict_us,
+        queue_wait_max_us,
     }
 }
 
@@ -624,8 +719,9 @@ fn main() {
     let model = train_model();
     // A small queue and few workers so the overload phase actually
     // overloads: shedding and preemptive degradation must both fire.
+    let workers = 2;
     let cfg = ServeConfig {
-        workers: 2,
+        workers,
         queue_depth: 2,
         deadline_ms: 8_000,
         breaker_threshold: 5,
@@ -696,6 +792,24 @@ fn main() {
             },
         });
         latency.lock().expect("latency lock").extend(samples);
+    }
+
+    let idle = idle_phase(port, workers + 1, &tally);
+    let idle_p50 = nearest_rank(&idle.predict_us, 0.50);
+    if args.ci {
+        let mut t = tally.lock().expect("tally lock");
+        if idle.queue_wait_max_us > MAX_IDLE_QUEUE_WAIT_US {
+            t.violations.push(format!(
+                "[idle] a fresh request waited {} us in the queue behind {} idle sockets \
+                 (gate {MAX_IDLE_QUEUE_WAIT_US} us)",
+                idle.queue_wait_max_us, idle.sockets
+            ));
+        }
+        if idle_p50 >= MAX_IDLE_PREDICT_P50_US {
+            t.violations.push(format!(
+                "[idle] fresh close-mode /predict p50 {idle_p50} us (gate < {MAX_IDLE_PREDICT_P50_US} us)"
+            ));
+        }
     }
 
     // Mid-run scrape: the exposition must parse while the server is
@@ -792,6 +906,13 @@ fn main() {
             );
         }
     }
+    println!(
+        "# idle: {} sockets held, fresh close-mode /predict p50 {idle_p50} us, p99 {} us, \
+         max server queue wait {} us",
+        idle.sockets,
+        nearest_rank(&idle.predict_us, 0.99),
+        idle.queue_wait_max_us
+    );
     for v in &tally.violations {
         println!("VIOLATION: {v}");
     }
@@ -825,6 +946,14 @@ fn main() {
         w.end_object();
     }
     w.end_array();
+    w.key("idle");
+    w.begin_object();
+    w.field_u64("sockets", idle.sockets as u64);
+    w.field_u64("fresh_requests", idle.predict_us.len() as u64);
+    w.field_u64("predict_p50_us", idle_p50);
+    w.field_u64("predict_p99_us", nearest_rank(&idle.predict_us, 0.99));
+    w.field_u64("queue_wait_max_us", idle.queue_wait_max_us);
+    w.end_object();
     w.field_u64("metrics_responses_total", responses_exported);
     w.field_u64("violations", tally.violations.len() as u64);
     w.key("violation_details");

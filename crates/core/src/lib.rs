@@ -103,7 +103,9 @@ pub enum GefError {
     DeadlineExceeded {
         /// The checkpoint that observed the trip (a pipeline stage
         /// name, `"gcv_grid"`, `"pirls"`, `"train"`, `"predict"`, or
-        /// `"parallel"` for a mid-region cancellation).
+        /// `"parallel"` for a mid-region cancellation, or gef-serve's
+        /// `"single_flight"` for a request whose deadline passed while
+        /// it waited on a concurrent identical run).
         at: &'static str,
     },
     /// A non-time budget cap (e.g. `GEF_MAX_DSTAR_ROWS`) is too tight

@@ -20,6 +20,7 @@ use crate::terms::TermSpec;
 use crate::{GamError, Result};
 use gef_linalg::{Cholesky, Matrix};
 use gef_trace::json::{self, JsonValue, JsonWriter, ReadJson, WriteJson};
+use std::sync::Mutex;
 
 /// Link function (with its implied error distribution, as in the paper:
 /// identity/Normal for regression, logit/Binomial for classification).
@@ -229,12 +230,16 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     let (lambda, best) = {
         let _grid_span = gef_trace::Span::enter("gam.gcv_grid");
         // Each λ candidate owns its factorization and inverse, so the grid
-        // evaluates on the gef-par pool; results come back in grid order.
-        // A candidate whose linear algebra fails (or, for logit, whose
-        // PIRLS run diverges — typically a small λ on near-separable data)
-        // is skipped, not fatal: better-conditioned λ values may still
-        // produce a usable fit.
-        let evals = gef_par::map(
+        // evaluates on the gef-par pool. A finished candidate takes the
+        // best slot only if it [`beats`] the holder; a loser drops its β
+        // and p×p inverse at once, so at most one inverse per running
+        // task plus the winner's is alive. The light records come back
+        // in grid order for telemetry. A candidate whose linear algebra
+        // fails (or, for logit, whose PIRLS run diverges — typically a
+        // small λ on near-separable data) is skipped, not fatal:
+        // better-conditioned λ values may still produce a usable fit.
+        let best: Mutex<Option<(usize, Candidate)>> = Mutex::new(None);
+        let records = gef_par::map(
             grid.len(),
             gef_par::Options::coarse().with_label("gam.gcv_candidate"),
             |gi| {
@@ -245,8 +250,8 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
                 if gef_trace::budget::hard_exceeded() {
                     return Err(GamError::DeadlineExceeded { at: "gcv_grid" });
                 }
-                match &normal {
-                    Some(ne) => gaussian_candidate(ne, &design.penalty, grid[gi], &constraint),
+                let cand = match &normal {
+                    Some(ne) => gaussian_candidate(ne, &design.penalty, grid[gi], &constraint)?,
                     None => logit_candidate(
                         &design,
                         &rows,
@@ -255,18 +260,35 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
                         spec.max_pirls_iter,
                         spec.tol,
                         &constraint,
-                    ),
-                }
+                    )?,
+                };
+                let record = cand.record;
+                let loser = {
+                    let mut slot = best.lock().unwrap_or_else(|e| e.into_inner());
+                    if beats(
+                        record.gcv,
+                        gi,
+                        slot.as_ref().map(|(i, c)| (c.record.gcv, *i)),
+                    ) {
+                        slot.replace((gi, cand)).map(|(_, old)| old)
+                    } else {
+                        Some(cand)
+                    }
+                };
+                drop(loser);
+                Ok(record)
             },
         )?;
-        select_candidate(&grid, evals, spec.link)?
+        let best = best.into_inner().unwrap_or_else(|e| e.into_inner());
+        select_candidate(&grid, &records, best, spec.link)?
     };
     // The winner's inverse is the posterior covariance up to the scale φ:
     // σ̂² for Gaussian, 1 for Binomial.
     let mut cov = best.inverse;
+    let fit = best.record;
     let scale = match spec.link {
         Link::Identity => {
-            let scale = best.deviance / (n as f64 - best.edf).max(1.0);
+            let scale = fit.deviance / (n as f64 - fit.edf).max(1.0);
             for v in cov.data_mut() {
                 *v *= scale;
             }
@@ -276,13 +298,13 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     };
     let summary = FitSummary {
         lambda,
-        gcv: best.gcv,
-        edf: best.edf,
+        gcv: fit.gcv,
+        edf: fit.edf,
         scale,
-        deviance: best.deviance,
+        deviance: fit.deviance,
         n_obs: n,
-        pirls_iters: best.iters,
-        step_halvings: best.step_halvings,
+        pirls_iters: fit.iters,
+        step_halvings: fit.step_halvings,
     };
     let beta = best.beta;
     if gef_trace::enabled() {
@@ -457,14 +479,11 @@ fn penalized_chol(
     Ok(Cholesky::factor_jittered(&c, 1e-10, 14)?)
 }
 
-/// One evaluated λ candidate, carried from the parallel grid to the
-/// serial selection.
-struct Candidate {
+/// What the grid-order telemetry and the fit summary read of one
+/// evaluated λ candidate: everything but its β and inverse.
+#[derive(Debug, Clone, Copy)]
+struct CandidateRecord {
     gcv: f64,
-    beta: Vec<f64>,
-    /// `C⁻¹` of the candidate's penalized system `C = XᵀWX + λS + κK`;
-    /// the winner's, times the scale φ, is the posterior covariance.
-    inverse: Matrix,
     /// Residual sum of squares (Gaussian) or deviance (Binomial).
     deviance: f64,
     edf: f64,
@@ -475,6 +494,26 @@ struct Candidate {
     /// carried out so the coordinator can emit the `gam.pirls` event in
     /// grid order.
     final_delta: f64,
+}
+
+/// One evaluated λ candidate: its record plus the coefficients and
+/// inverse that only the winner keeps.
+struct Candidate {
+    record: CandidateRecord,
+    beta: Vec<f64>,
+    /// `C⁻¹` of the candidate's penalized system `C = XᵀWX + λS + κK`;
+    /// the winner's, times the scale φ, is the posterior covariance.
+    inverse: Matrix,
+}
+
+/// Whether a candidate scoring `gcv` at grid index `index` takes the
+/// best slot from its holder `slot` (`(gcv, grid index)`, `None` when
+/// empty). Only a finite score can win, and it must be lower, or equal
+/// at an earlier grid index. Candidates finish in any order on the
+/// pool, yet the slot ends on the first finite minimum in grid order,
+/// the rule a serial scan with a strict `<` applies.
+fn beats(gcv: f64, index: usize, slot: Option<(f64, usize)>) -> bool {
+    gcv.is_finite() && slot.is_none_or(|(held, at)| gcv < held || (gcv == held && index < at))
 }
 
 /// Invert the factored penalized system once; the inverse gives the
@@ -545,14 +584,16 @@ fn gaussian_candidate(
     let rss = (ne.yty - 2.0 * bt_b + bt_g_b).max(0.0);
     let (inverse, edf) = inverse_and_edf(&chol, &ne.g);
     Ok(Candidate {
-        gcv: gcv_score(ne.n, rss, edf),
+        record: CandidateRecord {
+            gcv: gcv_score(ne.n, rss, edf),
+            deviance: rss,
+            edf,
+            iters: 1,
+            step_halvings: 0,
+            final_delta: 0.0,
+        },
         beta,
         inverse,
-        deviance: rss,
-        edf,
-        iters: 1,
-        step_halvings: 0,
-        final_delta: 0.0,
     })
 }
 
@@ -570,30 +611,33 @@ fn logit_candidate(
     let run = pirls_logit(design, rows, ys, lambda, max_iter, tol, constraint)?;
     let (inverse, edf) = inverse_and_edf(&run.chol, &run.weighted_gram);
     Ok(Candidate {
-        gcv: gcv_score(rows.rows(), run.deviance, edf),
+        record: CandidateRecord {
+            gcv: gcv_score(rows.rows(), run.deviance, edf),
+            deviance: run.deviance,
+            edf,
+            iters: run.iters,
+            step_halvings: run.step_halvings,
+            final_delta: run.final_delta,
+        },
         beta: run.beta,
         inverse,
-        deviance: run.deviance,
-        edf,
-        iters: run.iters,
-        step_halvings: run.step_halvings,
-        final_delta: run.final_delta,
     })
 }
 
-/// Pick the finite-GCV minimum (first on ties) and emit per-candidate
-/// telemetry. This runs serially and in grid order, so the event stream
-/// is identical at every thread count.
+/// Emit per-candidate telemetry from the grid-order `records` and hand
+/// back the winner the pool left in the best slot. This runs serially
+/// and in grid order, so the event stream is identical at every thread
+/// count.
 fn select_candidate(
     grid: &[f64],
-    evals: Vec<Result<Candidate>>,
+    records: &[Result<CandidateRecord>],
+    best: Option<(usize, Candidate)>,
     link: Link,
 ) -> Result<(f64, Candidate)> {
-    let mut best: Option<(f64, Candidate)> = None;
-    let mut last_err: Option<GamError> = None;
+    let mut last_err: Option<&GamError> = None;
     let mut evaluated = 0usize;
-    for (&lambda, eval) in grid.iter().zip(evals) {
-        let cand = match eval {
+    for (&lambda, record) in grid.iter().zip(records) {
+        let cand = match record {
             Ok(c) => c,
             Err(e) => {
                 last_err = Some(e);
@@ -628,21 +672,18 @@ fn select_candidate(
                 ],
             );
         }
-        if !cand.gcv.is_finite() {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(_, bst)| cand.gcv < bst.gcv) {
-            best = Some((lambda, cand));
-        }
     }
-    best.ok_or(match last_err {
+    match best {
+        Some((gi, cand)) => Ok((grid[gi], cand)),
         // Every candidate died in linear algebra before producing a GCV
         // score: surface the underlying numerical failure.
-        Some(e) if evaluated == 0 => e,
-        _ => GamError::NonFiniteGcv {
-            candidates: grid.len(),
-        },
-    })
+        None => Err(match last_err {
+            Some(e) if evaluated == 0 => e.clone(),
+            _ => GamError::NonFiniteGcv {
+                candidates: grid.len(),
+            },
+        }),
+    }
 }
 
 /// Result of one penalized IRLS run at a fixed λ.
@@ -1592,13 +1633,13 @@ mod tests {
     /// Check one candidate's Frobenius-product edf against the oracle and
     /// return the GCV score the oracle edf gives.
     fn check_edf(lambda: f64, cand: &Candidate, oracle: f64, n: usize) -> f64 {
-        let rel = (cand.edf - oracle).abs() / oracle.abs();
+        let rel = (cand.record.edf - oracle).abs() / oracle.abs();
         assert!(
             rel < 1e-9,
             "λ={lambda}: ⟨C⁻¹, G⟩ = {} vs Σ(C⁻¹G)ᵢᵢ = {oracle} (rel {rel:e})",
-            cand.edf
+            cand.record.edf
         );
-        gcv_score(n, cand.deviance, oracle)
+        gcv_score(n, cand.record.deviance, oracle)
     }
 
     #[test]
@@ -1727,6 +1768,74 @@ mod tests {
             match got {
                 Err(GamError::InvalidData(msg)) => assert!(msg.starts_with("row 57 "), "{msg}"),
                 other => panic!("expected InvalidData, got {other:?}"),
+            }
+        }
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for rest in permutations(n - 1) {
+            for at in 0..=rest.len() {
+                let mut p = rest.clone();
+                p.insert(at, n - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// The GCV grid's best slot ends on the candidate the serial scan
+    /// picks (grid order, non-finite skipped, replaced only on a strict
+    /// `<`) whatever order the candidates finish in: seeded score
+    /// vectors with ties, ±0, NaN, ±inf and failed entries, each in
+    /// every arrival order.
+    #[test]
+    fn best_slot_matches_the_serial_rule_in_every_arrival_order() {
+        let pool = [
+            0.5,
+            0.5,
+            1.0,
+            -0.0,
+            0.0,
+            2.0,
+            1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for case in 0..300u64 {
+            let mut rng = gef_trace::rng::Rng::seed(case);
+            let n = 1 + rng.below(6) as usize;
+            // `None` is a candidate whose linear algebra failed.
+            let scores: Vec<Option<f64>> = (0..n)
+                .map(|_| pool.get(rng.below(pool.len() as u64 + 1) as usize).copied())
+                .collect();
+            let mut serial: Option<(usize, f64)> = None;
+            for (i, g) in scores.iter().enumerate() {
+                if let Some(g) = *g {
+                    if g.is_finite() && serial.is_none_or(|(_, held)| g < held) {
+                        serial = Some((i, g));
+                    }
+                }
+            }
+            for order in permutations(n) {
+                let mut slot: Option<(f64, usize)> = None;
+                for &i in &order {
+                    if let Some(g) = scores[i] {
+                        if beats(g, i, slot) {
+                            slot = Some((g, i));
+                        }
+                    }
+                }
+                assert_eq!(
+                    slot.map(|(_, i)| i),
+                    serial.map(|(i, _)| i),
+                    "case {case}: scores {scores:?}, arrival order {order:?}"
+                );
             }
         }
     }

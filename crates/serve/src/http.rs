@@ -1,20 +1,24 @@
-//! Minimal, hardened HTTP/1.1 request parsing and response writing.
+//! Minimal, hardened HTTP/1.1 request framing and response writing.
 //!
 //! The parser is the server's first line of fault containment: it faces
 //! raw bytes from untrusted sockets and must **never panic, never hang,
 //! never allocate unboundedly** — every malformed input maps to a typed
-//! [`ParseError`] that the server answers with `400`/`413`/`501`. Every
-//! read is capped ([`MAX_REQUEST_LINE`], [`MAX_HEADER_LINE`],
-//! [`MAX_HEADER_COUNT`], the caller's body limit), so a hostile peer
-//! cannot grow a line or header block past a few KiB. Property tests at
-//! the bottom of this module drive the parser with arbitrary and
-//! adversarially-structured byte streams.
+//! [`ParseError`] that the server answers with `400`/`413`/`501`. It
+//! frames one request from the front of a connection's buffered bytes
+//! ([`parse_request`]) and says how much more it needs when the bytes
+//! end early, so the reactor never blocks on a client. Every line is
+//! capped ([`MAX_REQUEST_LINE`], [`MAX_HEADER_LINE`],
+//! [`MAX_HEADER_COUNT`], so a head never exceeds [`MAX_HEAD_BYTES`]),
+//! and a declared body past the caller's limit fails before any of it
+//! is read. Property tests at the bottom of this module drive the
+//! parser with arbitrary and adversarially-structured byte streams, cut
+//! at every length.
 //!
 //! Supported surface: `Content-Length` bodies only (chunked
 //! transfer-encoding answers `501`), no continuation (folded) headers,
 //! `HTTP/1.x` request lines.
 
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 
 /// Byte cap on the request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8192;
@@ -22,6 +26,10 @@ pub const MAX_REQUEST_LINE: usize = 8192;
 pub const MAX_HEADER_LINE: usize = 8192;
 /// Cap on the number of headers.
 pub const MAX_HEADER_COUNT: usize = 64;
+/// Bytes a request head can take before the caps above reject it: the
+/// request line, every header line and the blank line, each at its cap
+/// plus the line feed.
+pub const MAX_HEAD_BYTES: usize = (MAX_HEADER_COUNT + 2) * (MAX_HEADER_LINE + 1);
 
 /// A typed parse failure; [`ParseError::status`] maps it to the HTTP
 /// answer and [`ParseError::cause`] to the machine-readable label used
@@ -123,52 +131,75 @@ impl Request {
     }
 }
 
-/// Outcome of reading one request off a connection.
+/// What a partial request needs before another parse can get further.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// The head is still open: parse again once a line feed arrives or
+    /// more than `limit` bytes are buffered (the open line's cap).
+    Head {
+        /// Buffer length past which the open line breaks its cap.
+        limit: usize,
+    },
+    /// The head is complete: parse again once `total` bytes (head plus
+    /// declared body) are buffered.
+    Body {
+        /// Buffer length that completes the request.
+        total: usize,
+    },
+}
+
+impl Wait {
+    /// Whether a buffer now `len` bytes long, whose newest bytes are
+    /// `fresh`, can get a parse further than the one that returned
+    /// `self`.
+    pub fn ready(self, len: usize, fresh: &[u8]) -> bool {
+        match self {
+            Wait::Head { limit } => len > limit || fresh.contains(&b'\n'),
+            Wait::Body { total } => len >= total,
+        }
+    }
+}
+
+/// Outcome of framing one request from the front of a byte buffer.
 #[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete, well-formed request.
-    Request(Request),
-    /// Clean close before any byte of a new request (keep-alive end).
+pub enum Parse {
+    /// A complete, well-formed request and the number of bytes it took
+    /// from the front of the buffer (pipelined bytes follow).
+    Request(Request, usize),
+    /// The buffer holds a proper prefix of a request (possibly none of
+    /// it) and the peer may still send the rest.
+    Incomplete(Wait),
+    /// The peer closed before any byte of a new request (keep-alive
+    /// end).
     Eof,
     /// A typed protocol violation — answer [`ParseError::status`] and
     /// close (the stream position is no longer trustworthy).
     Malformed(ParseError),
-    /// The transport failed (timeout, reset); just drop the connection.
-    Io(std::io::ErrorKind),
 }
 
-/// Read one line (up to and including `\n`) with a hard byte cap.
-/// Returns `Ok(None)` on clean EOF before any byte.
-fn read_capped_line(r: &mut impl BufRead, cap: usize) -> Result<Option<Vec<u8>>, ReadOutcome> {
-    let mut line = Vec::new();
-    // `take` bounds the read so a peer streaming an endless line cannot
-    // grow the buffer past the cap.
-    match r.take(cap as u64 + 1).read_until(b'\n', &mut line) {
-        Ok(0) => Ok(None),
-        Ok(_) => {
-            if line.last() != Some(&b'\n') {
-                // Either the line exceeded the cap (more bytes pending)
-                // or the stream ended mid-line; both are malformed.
-                if line.len() > cap {
-                    Err(ReadOutcome::Malformed(ParseError::RequestLine(format!(
-                        "line exceeds the {cap}-byte cap"
-                    ))))
-                } else {
-                    Err(ReadOutcome::Malformed(ParseError::RequestLine(
-                        "stream ended mid-line".into(),
-                    )))
-                }
-            } else {
-                if line.ends_with(b"\n") {
-                    line.pop();
-                }
-                if line.ends_with(b"\r") {
-                    line.pop();
-                }
-                Ok(Some(line))
-            }
+/// One line of `buf` from `at`, capped at `cap` bytes before its line
+/// feed, without the trailing `\r\n`.
+enum Line<'a> {
+    /// The line and the offset just past its line feed.
+    Complete(&'a [u8], usize),
+    /// No line feed yet, and the line is still within its cap.
+    Open,
+    /// No line feed within `cap + 1` bytes.
+    TooLong,
+}
+
+fn line_at(buf: &[u8], at: usize, cap: usize) -> Line<'_> {
+    let rest = &buf[at..];
+    match rest[..rest.len().min(cap + 1)]
+        .iter()
+        .position(|&b| b == b'\n')
+    {
+        Some(i) => {
+            let line = &rest[..i];
+            Line::Complete(line.strip_suffix(b"\r").unwrap_or(line), at + i + 1)
         }
-        Err(e) => Err(ReadOutcome::Io(e.kind())),
+        None if rest.len() > cap => Line::TooLong,
+        None => Line::Open,
     }
 }
 
@@ -178,37 +209,52 @@ fn is_token(s: &str) -> bool {
             .all(|b| b.is_ascii_graphic() && !b"()<>@,;:\\\"/[]?={} ".contains(&b))
 }
 
-/// Read and parse one request. `max_body` caps the accepted
+/// Frame one request from the front of `buf`. `eof` says the peer has
+/// closed its side, so missing bytes will never come: a cut request is
+/// then malformed rather than incomplete. `max_body` caps the accepted
 /// `Content-Length`; larger bodies fail with
-/// [`ParseError::BodyTooLarge`] **without reading the body**.
-pub fn read_request(r: &mut impl BufRead, max_body: usize) -> ReadOutcome {
+/// [`ParseError::BodyTooLarge`] as soon as the head is complete,
+/// **without waiting for the body**.
+pub fn parse_request(buf: &[u8], max_body: usize, eof: bool) -> Parse {
     // --- request line ---
-    let line = match read_capped_line(r, MAX_REQUEST_LINE) {
-        Ok(Some(l)) => l,
-        Ok(None) => return ReadOutcome::Eof,
-        Err(out) => return out,
+    let (line, mut at) = match line_at(buf, 0, MAX_REQUEST_LINE) {
+        Line::Complete(l, next) => (l, next),
+        Line::Open if !eof => {
+            return Parse::Incomplete(Wait::Head {
+                limit: MAX_REQUEST_LINE,
+            })
+        }
+        Line::Open if buf.is_empty() => return Parse::Eof,
+        Line::Open => {
+            return Parse::Malformed(ParseError::RequestLine("stream ended mid-line".into()))
+        }
+        Line::TooLong => {
+            return Parse::Malformed(ParseError::RequestLine(format!(
+                "line exceeds the {MAX_REQUEST_LINE}-byte cap"
+            )))
+        }
     };
-    let Ok(line) = String::from_utf8(line) else {
-        return ReadOutcome::Malformed(ParseError::RequestLine("not valid UTF-8".into()));
+    let Ok(line) = std::str::from_utf8(line) else {
+        return Parse::Malformed(ParseError::RequestLine("not valid UTF-8".into()));
     };
     let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
         _ => {
-            return ReadOutcome::Malformed(ParseError::RequestLine(format!(
+            return Parse::Malformed(ParseError::RequestLine(format!(
                 "expected 'METHOD TARGET VERSION', got {} part(s)",
                 line.split(' ').count()
             )))
         }
     };
     if !is_token(method) {
-        return ReadOutcome::Malformed(ParseError::RequestLine("method is not a token".into()));
+        return Parse::Malformed(ParseError::RequestLine("method is not a token".into()));
     }
     if target.is_empty() || !target.bytes().all(|b| b.is_ascii_graphic()) {
-        return ReadOutcome::Malformed(ParseError::RequestLine("malformed target".into()));
+        return Parse::Malformed(ParseError::RequestLine("malformed target".into()));
     }
     if !version.starts_with("HTTP/1.") {
-        return ReadOutcome::Malformed(ParseError::RequestLine(format!(
+        return Parse::Malformed(ParseError::RequestLine(format!(
             "unsupported version {version:?}"
         )));
     }
@@ -216,37 +262,49 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> ReadOutcome {
     // --- headers ---
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
-        let line = match read_capped_line(r, MAX_HEADER_LINE) {
-            Ok(Some(l)) => l,
-            Ok(None) => {
-                return ReadOutcome::Malformed(ParseError::Header(
+        let line = match line_at(buf, at, MAX_HEADER_LINE) {
+            Line::Complete(l, next) => {
+                at = next;
+                l
+            }
+            Line::Open if !eof => {
+                return Parse::Incomplete(Wait::Head {
+                    limit: at + MAX_HEADER_LINE,
+                })
+            }
+            Line::Open if at == buf.len() => {
+                return Parse::Malformed(ParseError::Header(
                     "stream ended inside the header block".into(),
                 ))
             }
-            Err(ReadOutcome::Malformed(ParseError::RequestLine(d))) => {
-                return ReadOutcome::Malformed(ParseError::Header(d))
+            Line::Open => {
+                return Parse::Malformed(ParseError::Header("stream ended mid-line".into()))
             }
-            Err(out) => return out,
+            Line::TooLong => {
+                return Parse::Malformed(ParseError::Header(format!(
+                    "line exceeds the {MAX_HEADER_LINE}-byte cap"
+                )))
+            }
         };
         if line.is_empty() {
             break;
         }
         if headers.len() >= MAX_HEADER_COUNT {
-            return ReadOutcome::Malformed(ParseError::Header(format!(
+            return Parse::Malformed(ParseError::Header(format!(
                 "more than {MAX_HEADER_COUNT} headers"
             )));
         }
-        let Ok(line) = String::from_utf8(line) else {
-            return ReadOutcome::Malformed(ParseError::Header("not valid UTF-8".into()));
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Parse::Malformed(ParseError::Header("not valid UTF-8".into()));
         };
         let Some((name, value)) = line.split_once(':') else {
-            return ReadOutcome::Malformed(ParseError::Header(format!(
+            return Parse::Malformed(ParseError::Header(format!(
                 "no ':' in {:?}",
                 line.chars().take(40).collect::<String>()
             )));
         };
         if !is_token(name) {
-            return ReadOutcome::Malformed(ParseError::Header("header name is not a token".into()));
+            return Parse::Malformed(ParseError::Header("header name is not a token".into()));
         }
         headers.push((name.to_string(), value.trim().to_string()));
     }
@@ -254,7 +312,7 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> ReadOutcome {
     // --- body ---
     for (k, v) in &headers {
         if k.eq_ignore_ascii_case("transfer-encoding") {
-            return ReadOutcome::Malformed(ParseError::Unsupported(format!(
+            return Parse::Malformed(ParseError::Unsupported(format!(
                 "transfer-encoding {v:?} (only content-length bodies)"
             )));
         }
@@ -269,50 +327,53 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> ReadOutcome {
         [one] => match one.parse::<usize>() {
             Ok(n) => n,
             Err(_) => {
-                return ReadOutcome::Malformed(ParseError::ContentLength(format!(
+                return Parse::Malformed(ParseError::ContentLength(format!(
                     "unparseable value {one:?}"
                 )))
             }
         },
         many => {
-            return ReadOutcome::Malformed(ParseError::ContentLength(format!(
+            return Parse::Malformed(ParseError::ContentLength(format!(
                 "{} content-length headers",
                 many.len()
             )))
         }
     };
     if body_len > max_body {
-        return ReadOutcome::Malformed(ParseError::BodyTooLarge {
+        return Parse::Malformed(ParseError::BodyTooLarge {
             declared: body_len,
             max: max_body,
         });
     }
-    let mut body = Vec::new();
-    if body_len > 0 {
-        match r.take(body_len as u64).read_to_end(&mut body) {
-            Ok(got) if got < body_len => {
-                return ReadOutcome::Malformed(ParseError::TruncatedBody {
-                    got,
-                    want: body_len,
-                })
-            }
-            Ok(_) => {}
-            Err(e) => return ReadOutcome::Io(e.kind()),
-        }
+    let got = buf.len() - at;
+    if got < body_len {
+        return if eof {
+            Parse::Malformed(ParseError::TruncatedBody {
+                got,
+                want: body_len,
+            })
+        } else {
+            Parse::Incomplete(Wait::Body {
+                total: at + body_len,
+            })
+        };
     }
-    ReadOutcome::Request(Request {
+    let request = Request {
         method: method.to_string(),
         target: target.to_string(),
         headers,
-        body,
-    })
+        body: buf[at..at + body_len].to_vec(),
+    };
+    Parse::Request(request, at + body_len)
 }
 
 /// Write one `HTTP/1.1` response with `Content-Length` framing and the
 /// given `Content-Type` (`application/json` for every API response;
 /// `gef-serve`'s `/metrics` uses the Prometheus text type). The
 /// `Connection` header must be supplied via `extra_headers` by callers
-/// that want one.
+/// that want one. Head and body go out as **one** buffer in one
+/// `write_all`: two writes on a keep-alive socket let Nagle's algorithm
+/// hold the body until the peer's delayed ACK of the head, about 40 ms.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -321,15 +382,17 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
-    head.push_str(&format!("content-type: {content_type}\r\n"));
-    head.push_str(&format!("content-length: {}\r\n", body.len()));
+    let mut head = format!(
+        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
+        body.len()
+    );
     for (k, v) in extra_headers {
         head.push_str(&format!("{k}: {v}\r\n"));
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -337,19 +400,19 @@ pub fn write_response(
 mod tests {
     use super::*;
     use gef_trace::rng::Rng;
-    use std::io::Cursor;
 
     /// Generated inputs per sweep; a failure names its case seed.
     const CASES: u64 = 256;
 
-    fn parse(bytes: &[u8]) -> ReadOutcome {
-        read_request(&mut Cursor::new(bytes), 4096)
+    /// Parse `bytes` as everything the peer sent before closing.
+    fn parse(bytes: &[u8]) -> Parse {
+        parse_request(bytes, 4096, true)
     }
 
     #[test]
     fn parses_a_wellformed_post() {
         let raw = b"POST /explain HTTP/1.1\r\ncontent-length: 4\r\nx-a: b\r\n\r\n{\"\"}";
-        let ReadOutcome::Request(req) = parse(raw) else {
+        let Parse::Request(req, used) = parse(raw) else {
             panic!("expected a request");
         };
         assert_eq!(req.method, "POST");
@@ -357,17 +420,22 @@ mod tests {
         assert_eq!(req.body, b"{\"\"}");
         assert_eq!(req.header("X-A"), Some("b"));
         assert!(!req.wants_close());
+        assert_eq!(used, raw.len());
     }
 
     #[test]
     fn clean_eof_is_not_an_error() {
-        assert!(matches!(parse(b""), ReadOutcome::Eof));
+        assert!(matches!(parse(b""), Parse::Eof));
+        assert!(matches!(
+            parse_request(b"", 4096, false),
+            Parse::Incomplete(_)
+        ));
     }
 
     #[test]
     fn duplicate_content_length_is_rejected() {
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\nab";
-        let ReadOutcome::Malformed(e) = parse(raw) else {
+        let Parse::Malformed(e) = parse(raw) else {
             panic!("expected malformed");
         };
         assert_eq!(e.status().0, 400);
@@ -377,7 +445,9 @@ mod tests {
     #[test]
     fn oversized_body_is_413_without_reading_it() {
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 1000000\r\n\r\n";
-        let ReadOutcome::Malformed(e) = parse(raw) else {
+        // The peer has not closed and no body byte is buffered: the
+        // answer still comes at once.
+        let Parse::Malformed(e) = parse_request(raw, 4096, false) else {
             panic!("expected malformed");
         };
         assert_eq!(e.status().0, 413);
@@ -386,17 +456,23 @@ mod tests {
     #[test]
     fn truncated_body_is_400() {
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc";
-        let ReadOutcome::Malformed(e) = parse(raw) else {
+        let Parse::Malformed(e) = parse(raw) else {
             panic!("expected malformed");
         };
         assert_eq!(e.cause(), "truncated_body");
         assert_eq!(e.status().0, 400);
+        // While the peer may still send, the same bytes wait for the
+        // rest of the body.
+        assert!(matches!(
+            parse_request(raw, 4096, false),
+            Parse::Incomplete(Wait::Body { total }) if total == raw.len() + 7
+        ));
     }
 
     #[test]
     fn chunked_bodies_answer_501() {
         let raw = b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
-        let ReadOutcome::Malformed(e) = parse(raw) else {
+        let Parse::Malformed(e) = parse(raw) else {
             panic!("expected malformed");
         };
         assert_eq!(e.status().0, 501);
@@ -407,7 +483,7 @@ mod tests {
         let mut raw = b"GET /".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_REQUEST_LINE + 10));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        let ReadOutcome::Malformed(e) = parse(&raw) else {
+        let Parse::Malformed(e) = parse(&raw) else {
             panic!("expected malformed");
         };
         assert_eq!(e.status().0, 400);
@@ -420,7 +496,7 @@ mod tests {
             raw.extend_from_slice(format!("x-{i}: v\r\n").as_bytes());
         }
         raw.extend_from_slice(b"\r\n");
-        let ReadOutcome::Malformed(e) = parse(&raw) else {
+        let Parse::Malformed(e) = parse(&raw) else {
             panic!("expected malformed");
         };
         assert_eq!(e.cause(), "bad_header");
@@ -471,11 +547,13 @@ mod tests {
         for case in 0..CASES {
             let raw = bytes(&mut Rng::seed(case), 2047);
             match parse(&raw) {
-                ReadOutcome::Request(_)
-                | ReadOutcome::Eof
-                | ReadOutcome::Malformed(_)
-                | ReadOutcome::Io(_) => {}
+                Parse::Request(..) | Parse::Eof | Parse::Malformed(_) => {}
+                Parse::Incomplete(w) => panic!("case {case}: a closed stream waits for {w:?}"),
             }
+            // Cut anywhere with the peer still open, the parser never
+            // panics either.
+            let cut = rng_cut(case, raw.len());
+            let _ = parse_request(&raw[..cut], 4096, false);
         }
     }
 
@@ -509,22 +587,44 @@ mod tests {
             raw.extend_from_slice(b"\r\n");
             raw.extend_from_slice(&body);
             match parse(&raw) {
-                ReadOutcome::Malformed(e) => {
+                Parse::Malformed(e) => {
                     let (status, _) = e.status();
                     assert!(
                         status == 400 || status == 413 || status == 501,
                         "case {case}: status {status}"
                     );
                 }
-                ReadOutcome::Request(req) => {
+                Parse::Request(req, _) => {
                     // Accepted requests must have honoured the declared
                     // length exactly.
                     let want: usize = declared.parse().unwrap_or(0);
                     assert_eq!(req.body.len(), want, "case {case}");
                 }
-                ReadOutcome::Eof | ReadOutcome::Io(_) => {}
+                Parse::Eof | Parse::Incomplete(_) => {}
             }
         }
+    }
+
+    /// Well-formed requests round-trip: whatever we serialize, the
+    /// parser returns verbatim.
+    /// A seeded well-formed `POST`: `(raw bytes, target, header count,
+    /// body)`.
+    fn wellformed(rng: &mut Rng) -> (Vec<u8>, String, usize, Vec<u8>) {
+        let target = format!("/{}", text(rng, LOWER, 0, 12));
+        let nheaders = rng.below(8) as usize;
+        let body = bytes(rng, 255);
+        let mut raw = format!("POST {target} HTTP/1.1\r\n").into_bytes();
+        for i in 0..nheaders {
+            raw.extend_from_slice(format!("x-h{i}: v{i}\r\n").as_bytes());
+        }
+        raw.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
+        raw.extend_from_slice(&body);
+        (raw, target, nheaders + 1, body)
+    }
+
+    /// A seeded cut point in `0..=len`.
+    fn rng_cut(case: u64, len: usize) -> usize {
+        Rng::seed(case ^ 0xc07).below(len as u64 + 1) as usize
     }
 
     /// Well-formed requests round-trip: whatever we serialize, the
@@ -532,23 +632,53 @@ mod tests {
     #[test]
     fn wellformed_requests_roundtrip() {
         for case in 0..CASES {
-            let mut rng = Rng::seed(case);
-            let target = format!("/{}", text(&mut rng, LOWER, 0, 12));
-            let nheaders = rng.below(8) as usize;
-            let body = bytes(&mut rng, 255);
-            let mut raw = format!("POST {target} HTTP/1.1\r\n").into_bytes();
-            for i in 0..nheaders {
-                raw.extend_from_slice(format!("x-h{i}: v{i}\r\n").as_bytes());
-            }
-            raw.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
-            raw.extend_from_slice(&body);
-            let ReadOutcome::Request(req) = parse(&raw) else {
+            let (raw, target, nheaders, body) = wellformed(&mut Rng::seed(case));
+            let Parse::Request(req, used) = parse(&raw) else {
                 panic!("case {case}: expected a request");
             };
+            assert_eq!(used, raw.len(), "case {case}");
             assert_eq!(req.method, "POST", "case {case}");
             assert_eq!(req.target, target, "case {case}");
             assert_eq!(req.body, body, "case {case}");
-            assert_eq!(req.headers.len(), nheaders + 1, "case {case}");
+            assert_eq!(req.headers.len(), nheaders, "case {case}");
+        }
+    }
+
+    /// Two pipelined well-formed requests fed one byte at a time, with a
+    /// parse only when [`Wait::ready`] says one can get further: each
+    /// frames exactly when its last byte arrives, never earlier and
+    /// never later, and the second frames from the bytes the first left.
+    #[test]
+    fn byte_at_a_time_framing_frames_each_request_on_its_last_byte() {
+        for case in 0..CASES / 4 {
+            let mut rng = Rng::seed(case);
+            let (first, _, _, first_body) = wellformed(&mut rng);
+            let (second, _, _, second_body) = wellformed(&mut rng);
+            let stream: Vec<u8> = first.iter().chain(&second).copied().collect();
+            let mut buf = Vec::new();
+            let mut wait: Option<Wait> = None;
+            let mut framed = Vec::new();
+            for (i, &b) in stream.iter().enumerate() {
+                buf.push(b);
+                if wait.is_some_and(|w| !w.ready(buf.len(), &[b])) {
+                    continue;
+                }
+                match parse_request(&buf, 4096, false) {
+                    Parse::Incomplete(w) => wait = Some(w),
+                    Parse::Request(req, used) => {
+                        framed.push((i + 1, req.body));
+                        buf.drain(..used);
+                        wait = None;
+                    }
+                    other => panic!("case {case}: byte {i} gave {other:?}"),
+                }
+            }
+            assert_eq!(
+                framed,
+                vec![(first.len(), first_body), (stream.len(), second_body)],
+                "case {case}"
+            );
+            assert!(buf.is_empty(), "case {case}");
         }
     }
 }

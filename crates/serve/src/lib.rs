@@ -40,14 +40,34 @@
 //! 80%), so two concurrent requests hold independent deadlines — one
 //! can hard-trip to a typed 504 while its neighbour completes clean.
 //!
-//! **Admission control.** The accept loop keeps a bounded queue
-//! ([`ServeConfig::queue_depth`]); when full, requests are shed
-//! immediately with `429` + `Retry-After` instead of piling latency
-//! onto everyone. As depth rises past half the bound, admitted requests
-//! are served **degraded-by-design**: the pipeline's
+//! **Front end.** One reactor thread blocks in `poll(2)` on the
+//! listener and every parked connection, frames complete requests with
+//! the [`http`] parser, and queues them; workers answer and hand the
+//! connection back. No worker ever waits on a client read, so idle
+//! keep-alive clients cannot starve the others: an idle socket is
+//! closed after 2 s without holding a worker. Every answer is one
+//! write on a `TCP_NODELAY` socket. The bytes the reactor buffers are
+//! capped at [`ServeConfig::reactor_buffer_cap`]; a connection past it
+//! is answered `429` and closed.
+//!
+//! **Admission control.** The admission queue holds parsed requests,
+//! bounded by [`ServeConfig::queue_depth`]. When it is full, a new
+//! connection is shed with `429` + `Retry-After` before any of its
+//! bytes are read, and so is a framed request, instead of piling
+//! latency onto everyone. As depth rises past half the bound, admitted
+//! requests are served **degraded-by-design**: the pipeline's
 //! [`gef_core::FitFloor`] is armed preemptively (univariate-only, then
 //! linear surrogate), trading explanation richness for latency instead
 //! of answering 503.
+//!
+//! **Single-flight explains.** Concurrent `/explain`s for the same
+//! model under the same effective configuration (its digest, the
+//! pressure floor included) share one pipeline run, and each computes
+//! its own local explanation from it. A follower adopts the leader's
+//! run only if it returned `Ok` without a budget trip, and otherwise
+//! runs its own. It never waits past its own hard deadline (typed
+//! `504`). Nothing is kept once the run ends, and `?profile=1`
+//! requests always run alone.
 //!
 //! **Fault containment.** Every request runs under `catch_unwind`: a
 //! panic yields a typed `500` plus a [`gef_core::incident`] dump,
@@ -56,8 +76,8 @@
 //! consecutive GAM-fit failures, and closes again after a cooldown.
 //!
 //! **Graceful drain.** [`server::Server::shutdown`] stops accepting,
-//! lets workers finish every queued connection, then joins them —
-//! in-flight requests complete, new connections are refused.
+//! lets workers answer every request that already arrived, then joins
+//! them — in-flight requests complete, new connections are refused.
 //!
 //! # Environment knobs
 //!
@@ -76,7 +96,10 @@
 //! | `GEF_SERVE_SLOW_MS` | slow-request capture threshold (0 = off) | 0 |
 //! | `GEF_SERVE_PROFILE` | honor `/explain?profile=1` (enables timelines) | 0 |
 
+mod flight;
 pub mod http;
+mod poll;
+mod reactor;
 pub mod server;
 
 pub use server::{ModelEntry, Server};
@@ -90,7 +113,7 @@ pub struct ServeConfig {
     pub port: u16,
     /// Request worker threads (min 1).
     pub workers: usize,
-    /// Admission queue bound: connections beyond it are shed with 429.
+    /// Admission queue bound: requests beyond it are shed with 429.
     pub queue_depth: usize,
     /// Default per-request hard deadline in milliseconds; a request's
     /// `deadline_ms` field may lower (never raise) it.
@@ -132,6 +155,18 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
+    /// The most bytes the reactor buffers across all parked
+    /// connections: room for a full request (head at its caps plus the
+    /// largest body) for every worker and every queue slot. Derived, not
+    /// a knob; a connection whose bytes would pass it is answered `429`
+    /// and closed.
+    pub fn reactor_buffer_cap(&self) -> usize {
+        self.workers
+            .max(1)
+            .saturating_add(self.queue_depth)
+            .saturating_mul(self.max_body_bytes.saturating_add(http::MAX_HEAD_BYTES))
+    }
+
     /// Read the configuration from the `GEF_SERVE_*` knobs (see the
     /// crate docs), with [`ServeConfig::default`] filling the gaps.
     /// Invalid values warn once and fall back — never fatal.

@@ -1,33 +1,46 @@
-//! The server proper: accept loop, admission control, request workers,
-//! circuit breaker, and graceful drain.
+//! The server proper: admission control, request workers, single-flight
+//! explains, circuit breaker, and graceful drain. The sockets live in
+//! the reactor (`reactor.rs`).
 //!
 //! # State machine
 //!
 //! ```text
-//!            accept loop                      request workers
-//!  conn ──▶ queue.len() < bound? ──no──▶ 429 + Retry-After (shed)
+//!          reactor (one thread, poll(2))                 request workers
+//!  conn ──▶ queue.len() < bound? ──no──▶ 429 + Retry-After (shed, no byte read)
 //!              │ yes
 //!              ▼
-//!        bounded queue ──▶ worker pops ──▶ per-request scoped budget
+//!        parked ◀─────────────────────────────┐  keep-alive answer: the
+//!          │ bytes arrive; idle 2 s → close    │  connection comes back with
+//!          ▼                                   │  any pipelined bytes
+//!        frame (http parser, same caps)        │
+//!          ├─ malformed → typed 400/413/501, close
+//!          ├─ buffers past the cap → 429, close
+//!          ▼                                   │
+//!        request queue ──▶ worker pops ──▶ per-request scoped budget
 //!              │                               │
 //!        depth ≥ ½ bound: FitFloor ≥ UnivariateOnly (degrade, not 503)
 //!        depth ≥ ¾ bound: FitFloor = LinearSurrogate
 //!              │                               │
+//!              │              single flight per (model, config digest)
 //!              │                     catch_unwind(explain)
 //!              │                  ┌─ Ok(exp)  → 200, breaker.success
 //!              │                  ├─ deadline → 504 typed
 //!              │                  ├─ fit err  → 500 typed, breaker.failure
 //!              │                  └─ panic    → 500 typed + incident dump
-//!              │
+//!              │                               │
 //!        breaker open (K consecutive fit failures, cooldown-timed):
 //!        every admitted /explain runs at the LinearSurrogate floor
 //! ```
 //!
-//! Shutdown: the accept thread stops (new connections are refused once
-//! the listener drops), workers finish every queued connection, then
-//! exit — a drain, not an abort.
+//! Shutdown: the reactor drops the listener (new connections are
+//! refused), queues every request whose bytes already arrived and closes
+//! the idle connections; workers answer every queued request with
+//! `Connection: close`, then exit; the reactor drains the last closing
+//! sockets and exits — a drain, not an abort.
 
-use crate::http::{self, ReadOutcome, Request};
+use crate::flight::{Flights, Landing, Role};
+use crate::http::{self, Request};
+use crate::reactor::{self, Conn, SocketWriter};
 use crate::ServeConfig;
 use gef_core::budget::RunBudget;
 use gef_core::reuse::CacheOutcome;
@@ -40,17 +53,19 @@ use gef_trace::hist::Histogram;
 use gef_trace::json::{self, JsonValue, JsonWriter};
 use gef_trace::metrics::{Outcome, PromWriter, SloWindow};
 use std::collections::VecDeque;
-use std::io::{BufReader, Read};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Read/write timeout on request sockets: a stalled peer can hold a
-/// worker for at most this long, never forever.
-const SOCKET_TIMEOUT_MS: u64 = 2_000;
+/// Idle limit on a parked connection, and the longest a worker waits to
+/// write an answer: a stalled peer can hold a socket for at most this
+/// long, never forever, and never holds a worker while idle.
+pub(crate) const SOCKET_TIMEOUT_MS: u64 = 2_000;
 
 /// One preloaded model the server explains.
 #[derive(Debug, Clone)]
@@ -82,16 +97,18 @@ fn status_slot(status: u16) -> usize {
 /// Request counters, all monotonic (reported by `GET /stats` and
 /// `GET /metrics`).
 #[derive(Default)]
-struct Counters {
-    received: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) received: AtomicU64,
     served_ok: AtomicU64,
     degraded: AtomicU64,
-    shed: AtomicU64,
-    client_errors: AtomicU64,
+    pub(crate) shed: AtomicU64,
+    pub(crate) client_errors: AtomicU64,
     server_errors: AtomicU64,
     deadline_trips: AtomicU64,
     panics_contained: AtomicU64,
     breaker_trips: AtomicU64,
+    /// `/explain`s that adopted a concurrent leader's run.
+    explain_coalesced: AtomicU64,
     /// Per-request soft-budget trips (80% of the deadline), read at
     /// budget-scope exit.
     budget_soft_trips: AtomicU64,
@@ -105,7 +122,7 @@ struct Counters {
 
 impl Counters {
     /// Count one response of `status` actually written to a socket.
-    fn count_response(&self, status: u16) {
+    pub(crate) fn count_response(&self, status: u16) {
         self.responses[status_slot(status)].fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -175,29 +192,101 @@ impl Breaker {
     }
 }
 
-/// State shared by the accept thread and the request workers.
-struct Shared {
-    cfg: ServeConfig,
+/// A framed request waiting for a worker, with the connection it came
+/// on.
+pub(crate) struct Job {
+    pub(crate) conn: Conn,
+    pub(crate) req: Request,
+    /// When the reactor queued it (the start of its queue wait).
+    pub(crate) enqueued: Instant,
+}
+
+/// The admission queue: requests, not connections.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Cleared once the reactor has stopped framing at shutdown: workers
+    /// exit when the queue is closed and empty.
+    open: bool,
+}
+
+/// State shared by the reactor and the request workers.
+pub(crate) struct Shared {
+    pub(crate) cfg: ServeConfig,
     models: Vec<ModelEntry>,
     /// Artifact store backing model loads and explanation reuse; `None`
     /// runs the server store-less (every explain computes from scratch).
     store: Option<Arc<Store>>,
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<Queue>,
     queue_ready: Condvar,
-    shutdown: AtomicBool,
-    counters: Counters,
+    /// Connections workers hand back to the reactor.
+    pub(crate) returns: Mutex<Vec<Conn>>,
+    /// Write end of the reactor's wake socket.
+    wake: UnixStream,
+    pub(crate) shutdown: AtomicBool,
+    /// Set once every worker has exited; the reactor then finishes.
+    pub(crate) workers_done: AtomicBool,
+    pub(crate) counters: Counters,
     /// `/explain` latency (µs) behind `/stats` and the `/metrics`
     /// histogram family.
     latency: Mutex<Histogram>,
+    /// Per-request wait (µs) from the reactor's enqueue to a worker's
+    /// pop.
+    queue_wait: Mutex<Histogram>,
+    /// Connections parked in the reactor, waiting for request bytes.
+    pub(crate) parked: AtomicU64,
     /// Rolling per-second SLO accounting behind `/stats`'s `window`
     /// object and the `gef_serve_window_*` gauges.
-    window: SloWindow,
+    pub(crate) window: SloWindow,
     breaker: Breaker,
+    flights: Flights,
 }
 
 impl Shared {
+    fn lock_queue(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn queue_depth(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock_queue().jobs.len()
+    }
+
+    /// Whether admission control sheds new work now.
+    pub(crate) fn queue_full(&self) -> bool {
+        self.queue_depth() >= self.cfg.queue_depth
+    }
+
+    /// Queue `job` for a worker, or hand its connection back when the
+    /// queue is at its bound. `draining` (shutdown) admits past the
+    /// bound: those requests arrived before the drain began.
+    pub(crate) fn enqueue(&self, job: Job, draining: bool) -> Result<(), Conn> {
+        let mut q = self.lock_queue();
+        if !draining && q.jobs.len() >= self.cfg.queue_depth {
+            return Err(job.conn);
+        }
+        q.jobs.push_back(job);
+        drop(q);
+        self.queue_ready.notify_one();
+        Ok(())
+    }
+
+    /// No more requests are coming: let idle workers exit.
+    pub(crate) fn stop_queue(&self) {
+        self.lock_queue().open = false;
+        self.queue_ready.notify_all();
+    }
+
+    /// Give a connection back to the reactor and wake it.
+    fn hand_back(&self, conn: Conn) {
+        self.returns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(conn);
+        self.wake_reactor();
+    }
+
+    fn wake_reactor(&self) {
+        // Non-blocking: a full wake socket already holds a pending wake.
+        let _ = (&self.wake).write(&[1]);
     }
 
     /// The preemptive degradation floor for a request admitted *now*:
@@ -225,7 +314,7 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     port: u16,
-    accept: Option<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -248,21 +337,33 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
-        // Non-blocking accept so shutdown is observed within one poll
-        // interval even with no incoming connections.
+        // The reactor accepts only when poll(2) reports a pending
+        // connection, and must never block in accept.
         listener.set_nonblocking(true)?;
+        let (wake, wake_rx) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         if cfg.profile {
             // `/explain?profile=1` serves per-request timeline
             // fragments; recording must be on for spans to exist.
             gef_trace::timeline::set_prof_enabled(true);
         }
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
             queue_ready: Condvar::new(),
+            returns: Mutex::new(Vec::new()),
+            wake,
             shutdown: AtomicBool::new(false),
+            workers_done: AtomicBool::new(false),
             counters: Counters::default(),
             latency: Mutex::new(Histogram::new()),
+            queue_wait: Mutex::new(Histogram::new()),
+            parked: AtomicU64::new(0),
             window: SloWindow::new(),
+            flights: Flights::default(),
             breaker: Breaker::new(
                 cfg.breaker_threshold,
                 Duration::from_millis(cfg.breaker_cooldown_ms),
@@ -271,10 +372,10 @@ impl Server {
             store,
             cfg,
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("gef-serve-accept".into())
-            .spawn(move || accept_loop(&accept_shared, listener))?;
+        let reactor_shared = Arc::clone(&shared);
+        let reactor = std::thread::Builder::new()
+            .name("gef-serve-reactor".into())
+            .spawn(move || reactor::run(&reactor_shared, listener, wake_rx))?;
         let mut workers = Vec::with_capacity(shared.cfg.workers);
         for i in 0..shared.cfg.workers.max(1) {
             let worker_shared = Arc::clone(&shared);
@@ -292,7 +393,7 @@ impl Server {
         Ok(Server {
             shared,
             port,
-            accept: Some(accept),
+            reactor: Some(reactor),
             workers,
         })
     }
@@ -302,193 +403,103 @@ impl Server {
         self.port
     }
 
-    /// Graceful drain: stop accepting, let workers finish every queued
-    /// connection, join all threads. In-flight requests complete; new
-    /// connections are refused once the listener closes.
+    /// Graceful drain: stop accepting, let workers answer every request
+    /// that already arrived, join all threads. In-flight requests
+    /// complete; new connections are refused once the listener closes.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.queue_ready.notify_all();
-        if let Some(h) = self.accept.take() {
+        self.shared.wake_reactor();
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
+        self.shared.workers_done.store(true, Ordering::Relaxed);
+        self.shared.wake_reactor();
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
         gef_trace::recorder::note(gef_trace::recorder::Kind::Event, "serve.drained", "");
     }
 }
 
-fn accept_loop(shared: &Shared, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => admit(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    // Listener drops here: further connects are refused, which is the
-    // drain signal remote clients observe.
-}
-
-/// Admission control: bounded queue or immediate, cheap shed.
-fn admit(shared: &Shared, stream: TcpStream) {
-    shared.counters.received.fetch_add(1, Ordering::Relaxed);
-    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    if q.len() >= shared.cfg.queue_depth {
-        drop(q);
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        shared.window.record(Outcome::Shed, None);
-        // Shed happens before the request is even read, so no client
-        // trace id exists yet: mint one so a 429 is still correlatable.
-        let hex = to_hex(ctx::new_id());
-        // Answer on the accept thread, but never let a slow client
-        // stall it: tight write timeout, best-effort delivery.
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(50)));
-        let mut s = stream;
-        let wrote = http::write_response(
-            &mut s,
-            429,
-            "Too Many Requests",
-            "application/json",
-            &[
-                ("retry-after", "1"),
-                ("connection", "close"),
-                ("x-gef-trace-id", &hex),
-            ],
-            stamp_trace_id(
-                &error_body("overloaded", "admission queue is full; retry shortly"),
-                &hex,
-            )
-            .as_bytes(),
-        )
-        .is_ok();
-        if wrote {
-            shared.counters.count_response(429);
-        }
-        close_gracefully(s, Duration::from_millis(50));
-        return;
-    }
-    q.push_back(stream);
-    drop(q);
-    shared.queue_ready.notify_one();
-}
-
-/// Close a connection whose request may be partly unread without
-/// RST-ing the response out of the client's receive buffer.
-///
-/// Dropping a `TcpStream` with unread inbound bytes makes the kernel
-/// send RST, which discards data already queued for the peer — the shed
-/// 429 or a 413 would be written and then destroyed in flight. Instead:
-/// half-close the write side (flushing the response + FIN), then drain
-/// whatever the client was still sending until EOF or a short timeout.
-fn close_gracefully(mut stream: TcpStream, drain_for: Duration) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(drain_for));
-    let mut sink = [0u8; 1024];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-}
-
 fn worker_loop(shared: &Shared) {
+    // The last answered connection goes back to the reactor only once
+    // this worker has taken its next job off the queue, or found none:
+    // a client that sends again (or reconnects) the moment it has its
+    // answer must not find the queue slot still taken and be shed.
+    let mut answered: Option<Conn> = None;
     loop {
-        let stream = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let job = {
+            let mut q = shared.lock_queue();
             loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
                 }
-                if shared.shutdown.load(Ordering::Relaxed) {
+                if let Some(conn) = answered.take() {
+                    drop(q);
+                    shared.hand_back(conn);
+                    q = shared.lock_queue();
+                    continue;
+                }
+                if !q.open {
                     // Queue drained and no more arrivals: clean exit.
                     return;
                 }
-                let (guard, _) = shared
+                q = shared
                     .queue_ready
-                    .wait_timeout(q, Duration::from_millis(50))
+                    .wait(q)
                     .unwrap_or_else(|e| e.into_inner());
-                q = guard;
             }
         };
-        handle_connection(shared, stream);
+        if let Some(conn) = answered.take() {
+            shared.hand_back(conn);
+        }
+        let waited_us = job.enqueued.elapsed().as_micros() as u64;
+        shared
+            .queue_wait
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(waited_us);
+        answered = Some(serve(shared, job.conn, &job.req, waited_us));
     }
 }
 
-/// Serve one connection (keep-alive until close/EOF/violation).
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(SOCKET_TIMEOUT_MS)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(SOCKET_TIMEOUT_MS)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
+/// Answer one framed request on its connection. Returns the connection
+/// for the reactor: re-armed for keep-alive, marked closing otherwise.
+fn serve(shared: &Shared, conn: Conn, req: &Request, waited_us: u64) -> Conn {
+    let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
+    // Honor a well-formed client-supplied id (16 hex chars), mint
+    // otherwise. The scope makes the id reach every recorder entry,
+    // timeline span, and gef-par task this request produces.
+    let trace = req
+        .header("x-gef-trace-id")
+        .and_then(ctx::parse_hex)
+        .unwrap_or_else(ctx::new_id);
+    let hex = to_hex(trace);
+    let response = {
+        let _ctx = ctx::enter_trace(trace);
+        dispatch(shared, req)
     };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
-    loop {
-        match http::read_request(&mut reader, shared.cfg.max_body_bytes) {
-            ReadOutcome::Eof | ReadOutcome::Io(_) => return,
-            ReadOutcome::Malformed(e) => {
-                // The stream position is untrustworthy after a protocol
-                // violation: answer typed and close. Headers are equally
-                // untrustworthy, so mint a fresh trace id.
-                shared
-                    .counters
-                    .client_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let (status, reason) = e.status();
-                let hex = to_hex(ctx::new_id());
-                let wrote = http::write_response(
-                    &mut stream,
-                    status,
-                    reason,
-                    "application/json",
-                    &[("connection", "close"), ("x-gef-trace-id", &hex)],
-                    stamp_trace_id(&error_body(e.cause(), &e.to_string()), &hex).as_bytes(),
-                )
-                .is_ok();
-                if wrote {
-                    shared.counters.count_response(status);
-                }
-                // The rejected request is often partly unread (a 413
-                // never reads its body): half-close and drain so the
-                // typed answer is not RST away mid-flight.
-                close_gracefully(stream, Duration::from_millis(100));
-                return;
-            }
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close() || shared.shutdown.load(Ordering::Relaxed);
-                // Honor a well-formed client-supplied id (16 hex
-                // chars), mint otherwise. The scope makes the id reach
-                // every recorder entry, timeline span, and gef-par
-                // task this request produces.
-                let trace = req
-                    .header("x-gef-trace-id")
-                    .and_then(ctx::parse_hex)
-                    .unwrap_or_else(ctx::new_id);
-                let hex = to_hex(trace);
-                let response = {
-                    let _ctx = ctx::enter_trace(trace);
-                    dispatch(shared, &req)
-                };
-                let conn = if close { "close" } else { "keep-alive" };
-                let write_ok = http::write_response(
-                    &mut stream,
-                    response.status,
-                    response.reason,
-                    response.content_type,
-                    &[("connection", conn), ("x-gef-trace-id", &hex)],
-                    response.wire_body(&hex).as_bytes(),
-                )
-                .is_ok();
-                if write_ok {
-                    shared.counters.count_response(response.status);
-                }
-                if close || !write_ok {
-                    // A pipelining client may have bytes in flight;
-                    // same RST hazard as the malformed path.
-                    close_gracefully(stream, Duration::from_millis(100));
-                    return;
-                }
-            }
-        }
+    let waited = waited_us.to_string();
+    let write_ok = http::write_response(
+        &mut SocketWriter::new(&conn.stream, Duration::from_millis(SOCKET_TIMEOUT_MS)),
+        response.status,
+        response.reason,
+        response.content_type,
+        &[
+            ("connection", if close { "close" } else { "keep-alive" }),
+            ("x-gef-trace-id", &hex),
+            ("x-gef-queue-wait-us", &waited),
+        ],
+        response.wire_body(&hex).as_bytes(),
+    )
+    .is_ok();
+    if write_ok {
+        shared.counters.count_response(response.status);
+    }
+    if close || !write_ok {
+        conn.into_closing()
+    } else {
+        conn.rearm()
     }
 }
 
@@ -540,7 +551,7 @@ impl Response {
 /// JSON object. Every handler body is an object, so prefix splicing
 /// keeps the field present on every answer without threading the id
 /// through each `JsonWriter` call site.
-fn stamp_trace_id(body: &str, trace_hex: &str) -> String {
+pub(crate) fn stamp_trace_id(body: &str, trace_hex: &str) -> String {
     match body.strip_prefix('{') {
         Some("}") => format!("{{\"trace_id\":\"{trace_hex}\"}}"),
         Some(rest) => format!("{{\"trace_id\":\"{trace_hex}\",{rest}"),
@@ -561,7 +572,7 @@ fn outcome_of(resp: &Response) -> Outcome {
 }
 
 /// `{"error":{"cause":...,"detail":...}}`
-fn error_body(cause: &str, detail: &str) -> String {
+pub(crate) fn error_body(cause: &str, detail: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("error");
@@ -676,6 +687,10 @@ fn handle_stats(shared: &Shared) -> Response {
         c.panics_contained.load(Ordering::Relaxed),
     );
     w.field_u64("breaker_trips", c.breaker_trips.load(Ordering::Relaxed));
+    w.field_u64(
+        "explain_coalesced",
+        c.explain_coalesced.load(Ordering::Relaxed),
+    );
     w.key("breaker_open");
     w.value_raw(if shared.breaker.is_open() {
         "true"
@@ -684,6 +699,7 @@ fn handle_stats(shared: &Shared) -> Response {
     });
     w.field_u64("queue_depth", shared.queue_depth() as u64);
     w.field_u64("queue_bound", shared.cfg.queue_depth as u64);
+    w.field_u64("parked_connections", shared.parked.load(Ordering::Relaxed));
     w.field_str("pressure_floor", shared.pressure_floor().label());
     {
         let h = shared.latency.lock().unwrap_or_else(|e| e.into_inner());
@@ -694,6 +710,17 @@ fn handle_stats(shared: &Shared) -> Response {
             w.field_f64("mean", h.mean());
             w.field_u64("p50", h.quantile(0.50));
             w.field_u64("p95", h.quantile(0.95));
+            w.field_u64("p99", h.quantile(0.99));
+        }
+        w.end_object();
+    }
+    {
+        let h = shared.queue_wait.lock().unwrap_or_else(|e| e.into_inner());
+        w.key("queue_wait_us");
+        w.begin_object();
+        w.field_u64("count", h.count());
+        if h.count() > 0 {
+            w.field_u64("p50", h.quantile(0.50));
             w.field_u64("p99", h.quantile(0.99));
         }
         w.end_object();
@@ -733,7 +760,7 @@ fn handle_metrics(shared: &Shared) -> Response {
     w.metric(
         "gef_serve_connections_received_total",
         "counter",
-        "Connections seen by the accept loop, admitted or shed.",
+        "Connections accepted by the reactor, admitted or shed.",
     );
     w.sample_u64(
         "gef_serve_connections_received_total",
@@ -760,7 +787,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         load(&c.responses[STATUS_CODES.len()]),
     );
 
-    let singles: [(&str, &str, u64); 8] = [
+    let singles: [(&str, &str, u64); 9] = [
         (
             "gef_serve_served_ok_total",
             "200 answers to /explain and /predict.",
@@ -773,7 +800,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         ),
         (
             "gef_serve_shed_total",
-            "Connections shed with 429 by admission control.",
+            "Connections shed with 429 by admission control or the reactor's buffer cap.",
             load(&c.shed),
         ),
         (
@@ -800,6 +827,11 @@ fn handle_metrics(shared: &Shared) -> Response {
             "gef_serve_breaker_trips_total",
             "Times the circuit breaker tripped open.",
             load(&c.breaker_trips),
+        ),
+        (
+            "gef_serve_explain_coalesced_total",
+            "/explain requests answered from a concurrent identical run (single flight).",
+            load(&c.explain_coalesced),
         ),
     ];
     for (name, help, v) in singles {
@@ -831,6 +863,14 @@ fn handle_metrics(shared: &Shared) -> Response {
             &h,
         );
     }
+    {
+        let h = shared.queue_wait.lock().unwrap_or_else(|e| e.into_inner());
+        w.histogram(
+            "gef_serve_queue_wait_us",
+            "Per-request wait in the admission queue (microseconds), enqueue to worker pop.",
+            &h,
+        );
+    }
 
     w.metric(
         "gef_serve_breaker_open",
@@ -845,9 +885,19 @@ fn handle_metrics(shared: &Shared) -> Response {
     w.metric(
         "gef_serve_queue_depth",
         "gauge",
-        "Connections waiting in the admission queue.",
+        "Requests waiting in the admission queue.",
     );
     w.sample_u64("gef_serve_queue_depth", &[], shared.queue_depth() as u64);
+    w.metric(
+        "gef_serve_parked_connections",
+        "gauge",
+        "Connections parked in the reactor, waiting for request bytes.",
+    );
+    w.sample_u64(
+        "gef_serve_parked_connections",
+        &[],
+        shared.parked.load(Ordering::Relaxed),
+    );
     w.metric(
         "gef_serve_queue_bound",
         "gauge",
@@ -1175,6 +1225,7 @@ fn handle_explain(shared: &Shared, req: &Request, profile: bool) -> Response {
         // The scope guard lives exactly as long as the run, so an early
         // return can never leak this request's deadline to the next.
         let scope = budget.enter();
+        let hard_deadline = Instant::now() + Duration::from_millis(deadline_ms);
         let result = catch_unwind(AssertUnwindSafe(|| {
             if shared.cfg.test_hooks {
                 match req.header("x-gef-test") {
@@ -1192,18 +1243,59 @@ fn handle_explain(shared: &Shared, req: &Request, profile: bool) -> Response {
                     _ => {}
                 }
             }
-            let explainer = GefExplainer::new(config.clone());
-            match &shared.store {
-                // Store-backed: reuse a digest-verified cached
-                // explanation when one exists for this exact
-                // (model, config) pair. Pressure-raised floors change
-                // the config digest, and deadline-degraded runs are
-                // never published (nor served from cache), so degraded
-                // and full explanations cannot alias.
-                Some(store) => explainer
-                    .explain_cached(&model.forest, store)
-                    .map(|(exp, outcome)| (exp, Some(outcome))),
-                None => explainer.explain(&model.forest).map(|exp| (exp, None)),
+            let run = || {
+                let explainer = GefExplainer::new(config.clone());
+                match &shared.store {
+                    // Store-backed: reuse a digest-verified cached
+                    // explanation when one exists for this exact
+                    // (model, config) pair. Pressure-raised floors change
+                    // the config digest, and deadline-degraded runs are
+                    // never published (nor served from cache), so
+                    // degraded and full explanations cannot alias.
+                    Some(store) => explainer
+                        .explain_cached(&model.forest, store)
+                        .map(|(exp, outcome)| Arc::new((exp, Some(outcome)))),
+                    None => explainer
+                        .explain(&model.forest)
+                        .map(|exp| Arc::new((exp, None))),
+                }
+            };
+            if profile {
+                // A profiled request must record its own spans.
+                return run();
+            }
+            // The explanation depends only on (model, config): the same
+            // key computes the same bits, so concurrent requests share
+            // one run. Each still computes its own `local(x)` below.
+            match shared.flights.join(&model.name, config.content_digest()) {
+                Role::Leader(mut lead) => {
+                    let answer = run();
+                    let b = scope.budget();
+                    if let Ok(a) = &answer {
+                        if !b.soft_tripped() && !b.hard_tripped() {
+                            lead.share(Arc::clone(a));
+                        }
+                    }
+                    answer
+                }
+                Role::Follower(flight) => match flight.wait(hard_deadline) {
+                    Landing::Adopt(a) => {
+                        shared
+                            .counters
+                            .explain_coalesced
+                            .fetch_add(1, Ordering::Relaxed);
+                        Ok(a)
+                    }
+                    Landing::RunOwn => run(),
+                    Landing::TimedOut => {
+                        // Latch the trip on this request's budget, as a
+                        // pipeline checkpoint would.
+                        scope.budget().hard_exceeded();
+                        Err(GefError::DeadlineExceeded {
+                            at: "single_flight",
+                        })
+                    }
+                },
             }
         }));
         // Read the trip flags while this request's budget is still the
@@ -1265,7 +1357,8 @@ fn handle_explain(shared: &Shared, req: &Request, profile: bool) -> Response {
             }
             Response::error(500, "Internal Server Error", cause, &err.to_string())
         }
-        Ok(Ok((exp, cache_outcome))) => {
+        Ok(Ok(answer)) => {
+            let (exp, cache_outcome) = &*answer;
             shared.breaker.record_success();
             if !exp.degradations.is_empty() {
                 shared.counters.degraded.fetch_add(1, Ordering::Relaxed);

@@ -604,3 +604,351 @@ fn slow_requests_dump_a_trace_filtered_capture() {
     let _ = std::fs::remove_file(&path);
     server.shutdown();
 }
+
+/// One response read off a held connection, framed by
+/// `content-length`: `(status, head, body)`. Bytes past the response
+/// stay in `buf` for the next call.
+fn read_framed(s: &mut TcpStream, buf: &mut Vec<u8>) -> (u16, String, String) {
+    let mut tmp = [0u8; 8192];
+    let head_end = loop {
+        if let Some(p) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break p + 4;
+        }
+        let n = s.read(&mut tmp).expect("read response head");
+        assert!(n > 0, "connection closed before a full head: {buf:?}");
+        buf.extend_from_slice(&tmp[..n]);
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    let length: usize = header_value(&head, "content-length")
+        .and_then(|v| v.parse().ok())
+        .expect("content-length");
+    while buf.len() < head_end + length {
+        let n = s.read(&mut tmp).expect("read response body");
+        assert!(n > 0, "connection closed mid-body");
+        buf.extend_from_slice(&tmp[..n]);
+    }
+    let body = String::from_utf8_lossy(&buf[head_end..head_end + length]).into_owned();
+    buf.drain(..head_end + length);
+    let status = head
+        .split(' ')
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("status");
+    (status, head, body)
+}
+
+fn connect(port: u16) -> TcpStream {
+    let s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s
+}
+
+/// A keep-alive `POST` (no `connection` header).
+fn keepalive_post(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+const PREDICT: &str = r#"{"instance":[0.5,0.5,0.5]}"#;
+
+/// Keep-alive answers go out as one write on a `TCP_NODELAY` socket:
+/// with the head and body written separately, Nagle's algorithm held
+/// each body back until the client's delayed ACK, about 40 ms per
+/// answer.
+#[test]
+fn keepalive_predicts_answer_without_the_delayed_ack_stall() {
+    let server = start(ServeConfig::default(), 800);
+    let mut s = connect(server.port());
+    let mut buf = Vec::new();
+    let mut took = Vec::new();
+    for _ in 0..20 {
+        let t = std::time::Instant::now();
+        s.write_all(keepalive_post("/predict", PREDICT).as_bytes())
+            .unwrap();
+        let (status, head, body) = read_framed(&mut s, &mut buf);
+        took.push(t.elapsed());
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            header_value(&head, "connection").as_deref(),
+            Some("keep-alive")
+        );
+    }
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median keep-alive /predict took {median:?}: {took:?}"
+    );
+    server.shutdown();
+}
+
+/// Idle keep-alive sockets are parked in the reactor, not held by
+/// workers: after `workers + 1` clients each got one answer and went
+/// quiet, a fresh request still answers at once instead of waiting out
+/// a worker's read timeout.
+#[test]
+fn idle_keepalive_sockets_do_not_hold_workers() {
+    let workers = 2;
+    let server = start(
+        ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        },
+        800,
+    );
+    let port = server.port();
+    let mut idle = Vec::new();
+    for _ in 0..workers + 1 {
+        let mut s = connect(port);
+        s.write_all(keepalive_post("/predict", PREDICT).as_bytes())
+            .unwrap();
+        let (status, _, body) = read_framed(&mut s, &mut Vec::new());
+        assert_eq!(status, 200, "{body}");
+        idle.push(s);
+    }
+    let t = std::time::Instant::now();
+    let (status, body) = post(port, "/predict", PREDICT, "");
+    let took = t.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        took < Duration::from_millis(100),
+        "a fresh /predict behind {} idle sockets took {took:?}",
+        idle.len()
+    );
+    // A worker hands its connection back after answering, so the gauge
+    // may lag the last idle answer by a moment.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, stats) = get(port, "/stats");
+        if stats.contains(&format!("\"parked_connections\":{}", idle.len())) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "{stats}");
+    }
+    server.shutdown();
+}
+
+/// The reactor frames requests from whatever the socket delivers: a
+/// request cut across three writes with pauses, two pipelined requests
+/// in one write (answered in order), and an oversized head and an
+/// oversized body, each answered with its typed status. Another client
+/// is served while they run.
+#[test]
+fn reactor_frames_split_pipelined_and_oversized_requests() {
+    let server = start(
+        ServeConfig {
+            workers: 1,
+            max_body_bytes: 1024,
+            ..ServeConfig::default()
+        },
+        800,
+    );
+    let port = server.port();
+
+    // Split: the head's first line, the rest of the head, the body.
+    let mut split = connect(port);
+    let req = keepalive_post("/predict", PREDICT);
+    let (a, rest) = req.split_at(10);
+    let (b, c) = rest.split_at(rest.len() - 5);
+    for part in [a, b] {
+        split.write_all(part.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    // Meanwhile, another connection is served.
+    let (status, _) = get(port, "/healthz");
+    assert_eq!(status, 200);
+    split.write_all(c.as_bytes()).unwrap();
+    let (status, _, body) = read_framed(&mut split, &mut Vec::new());
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"prediction\""), "{body}");
+
+    // Pipelined: two requests in one write, answered in order.
+    let mut piped = connect(port);
+    let two = format!(
+        "{}GET /nowhere HTTP/1.1\r\n\r\n",
+        keepalive_post("/predict", PREDICT)
+    );
+    piped.write_all(two.as_bytes()).unwrap();
+    let mut buf = Vec::new();
+    let (first, _, body) = read_framed(&mut piped, &mut buf);
+    assert_eq!(first, 200, "{body}");
+    assert!(body.contains("\"prediction\""), "{body}");
+    let (second, _, body) = read_framed(&mut piped, &mut buf);
+    assert_eq!(second, 404, "{body}");
+
+    // Oversized head: a header line past its cap.
+    let long = format!(
+        "GET /healthz HTTP/1.1\r\nx-long: {}\r\n\r\n",
+        "a".repeat(gef_serve::http::MAX_HEADER_LINE + 1)
+    );
+    let (status, body) = roundtrip(port, &long);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad_header"), "{body}");
+    // Oversized body: answered 413 from the head alone, though the body
+    // never comes.
+    let mut big = connect(port);
+    big.write_all(b"POST /predict HTTP/1.1\r\ncontent-length: 4096\r\n\r\n")
+        .unwrap();
+    let (status, head, body) = read_framed(&mut big, &mut Vec::new());
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("body_too_large"), "{body}");
+    assert_eq!(header_value(&head, "connection").as_deref(), Some("close"));
+
+    let (status, _) = post(port, "/predict", PREDICT, "");
+    assert_eq!(status, 200, "the server keeps serving");
+    server.shutdown();
+}
+
+/// A JSON number field of a flat object, parsed.
+fn json_f64(doc: &gef_trace::json::JsonValue, key: &str) -> f64 {
+    doc.get(key)
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("no number {key:?}"))
+}
+
+/// Concurrent identical `/explain`s share one pipeline run, yet every
+/// answer is its own instance's local explanation, bit-equal to the
+/// in-process one.
+#[test]
+fn concurrent_explains_share_one_run_and_answer_bit_equal() {
+    let entry = model(3000);
+    let reference = gef_core::GefExplainer::new(entry.config.clone())
+        .explain(&entry.forest)
+        .expect("in-process explain");
+    std::env::set_var("GEF_INCIDENT_DIR", env!("CARGO_TARGET_TMPDIR"));
+    let server = Server::start(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        vec![entry],
+    )
+    .expect("server start");
+    let port = server.port();
+    let instances = [[0.2, 0.8, 0.5], [0.7, 0.1, 0.9]];
+    let coalesced = |port| {
+        let (_, stats) = get(port, "/stats");
+        let doc = gef_trace::json::parse(&stats).expect("stats parse");
+        json_f64(&doc, "explain_coalesced")
+    };
+    // Two requests race for the flight; a round in which the second
+    // arrives after the first finished shares nothing, so try a few.
+    let mut rounds = 0;
+    while coalesced(port) == 0.0 {
+        rounds += 1;
+        assert!(rounds <= 5, "no /explain was coalesced in 5 rounds");
+        let answers: Vec<(u16, String)> = instances
+            .iter()
+            .map(|x| {
+                let body = format!(r#"{{"instance":[{},{},{}]}}"#, x[0], x[1], x[2]);
+                std::thread::spawn(move || post(port, "/explain", &body, ""))
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        for ((status, body), x) in answers.iter().zip(&instances) {
+            assert_eq!(*status, 200, "{body}");
+            let doc = gef_trace::json::parse(body).expect("answer parses");
+            let local = reference.local(x);
+            assert_eq!(
+                json_f64(&doc, "prediction").to_bits(),
+                local.prediction.to_bits()
+            );
+            let contributions = doc
+                .get("contributions")
+                .and_then(|c| c.as_array())
+                .expect("contributions");
+            assert_eq!(contributions.len(), local.contributions.len());
+            for (got, want) in contributions.iter().zip(&local.contributions) {
+                assert_eq!(
+                    json_f64(got, "contribution").to_bits(),
+                    want.contribution.to_bits(),
+                    "{body}"
+                );
+                assert_eq!(
+                    json_f64(got, "std_error").to_bits(),
+                    want.std_error.to_bits()
+                );
+            }
+        }
+    }
+    let (_, metrics) = get(port, "/metrics");
+    let exp = gef_trace::metrics::validate(&metrics).expect("exposition validates");
+    assert!(
+        exp.value("gef_serve_explain_coalesced_total")
+            .unwrap_or(0.0)
+            >= 1.0
+    );
+    assert!(exp.value("gef_serve_queue_wait_us_count").unwrap_or(0.0) >= 2.0);
+    server.shutdown();
+}
+
+/// The bytes the reactor buffers across connections are capped (room
+/// for a full request per worker and queue slot): the connection whose
+/// bytes would pass the cap is answered 429 and closed, and the others
+/// complete.
+#[test]
+fn reactor_buffers_are_capped() {
+    let cfg = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        max_body_bytes: 64,
+        ..ServeConfig::default()
+    };
+    let cap = cfg.reactor_buffer_cap();
+    let server = start(cfg, 800);
+    let port = server.port();
+    // Heads left open: 60 header lines of 8000 bytes each, no blank
+    // line yet. Two fit under the cap, three do not, and dropping any
+    // one of three leaves room for the other two.
+    let header = format!("x-pad: {}\r\n", "p".repeat(8000));
+    let open_head = format!("GET /healthz HTTP/1.1\r\n{}", header.repeat(60));
+    assert_eq!(
+        cap / open_head.len(),
+        2,
+        "cap {cap}, head {}",
+        open_head.len()
+    );
+    // One reader thread per connection reports its whole answer.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut writers = Vec::new();
+    for k in 0..3 {
+        let s = connect(port);
+        let mut reader = s.try_clone().unwrap();
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            let mut raw = Vec::new();
+            let _ = reader.read_to_end(&mut raw);
+            let _ = tx.send((k, String::from_utf8_lossy(&raw).into_owned()));
+        });
+        writers.push(s);
+    }
+    for s in &mut writers {
+        // The connection that passes the cap may be closed under a
+        // write; its answer is still read.
+        let _ = s.write_all(open_head.as_bytes());
+    }
+    // No head is complete, so the only possible answer is the cap's.
+    let wait = Duration::from_secs(30);
+    let (shed, raw) = rx
+        .recv_timeout(wait)
+        .expect("one connection passes the cap");
+    assert!(raw.starts_with("HTTP/1.1 429 "), "{raw}");
+    assert!(raw.contains("retry-after: 1"), "{raw}");
+    assert!(raw.contains("request buffers are full"), "{raw}");
+    // The other two heads were kept: finishing them gets answers.
+    for (k, s) in writers.iter_mut().enumerate() {
+        if k != shed {
+            s.write_all(b"connection: close\r\n\r\n").unwrap();
+        }
+    }
+    for _ in 0..2 {
+        let (k, raw) = rx.recv_timeout(wait).expect("a kept head is answered");
+        assert_ne!(k, shed);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    }
+    server.shutdown();
+}
