@@ -12,7 +12,7 @@
 use crate::sampling::SamplingStrategy;
 use crate::selection::ForestProfile;
 use crate::Result;
-use gef_forest::Forest;
+use gef_forest::{Forest, LabelScale};
 use gef_trace::rng::Rng;
 
 /// The synthetic dataset `D*` together with the domains that produced
@@ -107,12 +107,27 @@ pub fn build_domains(
     Ok(domains)
 }
 
+/// Rows sampled and labelled together. Labelling reads each block's
+/// domain codes (`u16`, row-major), so the code buffer holds one block,
+/// 4,096 × 81 × 2 B ≈ 0.66 MB at `distill_wide`'s width, where a
+/// whole-`D*` buffer would add 8 MB to its peak. A constant, so blocks
+/// are a pure function of `n`.
+const BLOCK_ROWS: usize = 4096;
+
 /// Generate `n` labelled instances from the given domains.
 ///
 /// `raw_labels` chooses the label scale: `true` queries the forest's
 /// raw margin (log-odds for classification — what a logit-link GAM
 /// should be fitted on is the *probability*, so the pipeline uses
 /// `false` there), `false` the response scale.
+///
+/// Every cell is one draw `rng.below(|dom_f|)` into its feature's
+/// domain, row by row. The drawn index is the cell's *domain code*:
+/// 4,096 rows at a time are drawn into a code buffer and into `xs`,
+/// then labelled by one call to the forest's
+/// [`DomainLabeler`](gef_forest::DomainLabeler), which reads the codes
+/// when it can and the rows when it cannot; the labels are the same
+/// either way.
 pub fn generate(
     forest: &Forest,
     domains: &[Vec<f64>],
@@ -124,40 +139,56 @@ pub fn generate(
     let mut rng = Rng::seed(seed);
     let d = forest.num_features;
     debug_assert_eq!(domains.len(), d);
-    let mut xs = Vec::with_capacity(n);
-    {
-        let _sample_span = gef_trace::Span::enter("core.generate.sample");
-        for _ in 0..n {
-            let x: Vec<f64> = (0..d)
-                .map(|f| {
-                    let dom = &domains[f];
-                    if dom.is_empty() {
-                        0.0
-                    } else {
-                        dom[rng.below(dom.len() as u64) as usize]
-                    }
-                })
-                .collect();
-            xs.push(x);
-        }
-    }
-    let _label_span = gef_trace::Span::enter("core.generate.label");
     let traced = gef_trace::enabled();
-    let ys = if raw_labels {
+    let scale = if raw_labels {
         // Raw labels are only requested on ancillary paths; counting is
-        // reserved for the response-scale D* labeling below.
-        forest.predict_raw_batch(&xs)
+        // reserved for the response-scale D* labeling.
+        LabelScale::Raw
     } else if traced {
-        let (ys, visited) = forest.predict_batch_counted(&xs)?;
-        gef_trace::counter!("forest.nodes_visited").add(visited);
-        ys
+        LabelScale::Counted
     } else {
-        forest.predict_batch(&xs)?
+        LabelScale::Response
     };
+    let labeler = forest.domain_labeler(domains, n, scale);
+    let mut xs = Vec::with_capacity(n);
+    let mut ys = vec![0.0; n];
+    let mut codes = vec![0u16; BLOCK_ROWS.min(n) * d];
+    let mut visited = 0u64;
+    for start in (0..n).step_by(BLOCK_ROWS) {
+        let end = (start + BLOCK_ROWS).min(n);
+        let codes = &mut codes[..(end - start) * d];
+        {
+            let _sample_span = gef_trace::Span::enter("core.generate.sample");
+            for row in 0..end - start {
+                let row_codes = &mut codes[row * d..(row + 1) * d];
+                let x: Vec<f64> = domains
+                    .iter()
+                    .zip(row_codes)
+                    .map(|(dom, code)| {
+                        if dom.is_empty() {
+                            *code = 0;
+                            0.0
+                        } else {
+                            let k = rng.below(dom.len() as u64) as usize;
+                            // Codes are read only when every domain
+                            // fits a u16, where this cast is exact.
+                            *code = k as u16;
+                            dom[k]
+                        }
+                    })
+                    .collect();
+                xs.push(x);
+            }
+        }
+        let _label_span = gef_trace::Span::enter("core.generate.label");
+        visited += labeler.label(codes, &xs[start..end], &mut ys[start..end])?;
+    }
     if traced {
+        if scale == LabelScale::Counted {
+            gef_trace::counter!("forest.nodes_visited").add(visited);
+        }
         gef_trace::counter!("core.dstar_rows").add(n as u64);
     }
-    drop(_label_span);
     Ok(SyntheticDataset {
         xs,
         ys,
@@ -276,5 +307,70 @@ mod tests {
         assert_eq!(a.xs, b.xs);
         let c = generate(&f, &domains, 30, false, 43).unwrap();
         assert_ne!(a.xs, c.xs);
+    }
+
+    /// D* is part of the reproducibility contract: the same forest,
+    /// domains and seed give the same rows and labels, bit for bit, on
+    /// the QuickScorer layout (8-leaf trees) and on the descent layout
+    /// (48-leaf trees), on both label scales, over three blocks. The
+    /// digest was computed before labels were read from domain codes.
+    #[test]
+    fn dstar_digest_is_pinned() {
+        let wide = {
+            let xs: Vec<Vec<f64>> = (0..400)
+                .map(|i| vec![(i % 37) as f64 / 37.0, (i % 23) as f64 / 23.0, 7.0])
+                .collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| (9.0 * x[0]).sin() + x[1] * x[0])
+                .collect();
+            GbdtTrainer::new(GbdtParams {
+                num_trees: 6,
+                num_leaves: 48,
+                learning_rate: 0.3,
+                min_data_in_leaf: 2,
+                ..Default::default()
+            })
+            .fit(&xs, &ys)
+            .unwrap()
+        };
+        let mut d = gef_trace::hash::Digest::new("gef-core/generate-test");
+        for f in [forest(), wide] {
+            let profile = ForestProfile::analyze(&f);
+            let domains =
+                build_domains(&profile, &[0, 1], SamplingStrategy::AllThresholds).unwrap();
+            for raw in [false, true] {
+                assert!(f
+                    .domain_labeler(&domains, 10_000, LabelScale::Raw)
+                    .uses_codes());
+                let ds = generate(&f, &domains, 10_000, raw, 17).unwrap();
+                for x in &ds.xs {
+                    d.write_f64s(x);
+                }
+                d.write_f64s(&ds.ys);
+            }
+        }
+        assert_eq!(d.finish(), 0x4fae_7b2a_aba9_86f4);
+    }
+
+    /// A hard deadline that passes while D* is being built ends
+    /// `generate` with a typed error, not a partial data set.
+    #[test]
+    fn deadline_tripped_mid_dstar_is_typed() {
+        let f = forest();
+        let profile = ForestProfile::analyze(&f);
+        let domains = build_domains(&profile, &[0, 1], SamplingStrategy::AllThresholds).unwrap();
+        let budget =
+            gef_trace::budget::Budget::armed(Some(std::time::Duration::from_millis(1)), None);
+        let _scope = budget.enter();
+        let started = std::time::Instant::now();
+        // Far more rows than can be drawn and labelled in 1 ms.
+        let result = generate(&f, &domains, 400_000, false, 5);
+        assert!(
+            matches!(result, Err(crate::GefError::DeadlineExceeded { .. })),
+            "{:?}",
+            result.map(|ds| ds.len())
+        );
+        assert!(started.elapsed() >= std::time::Duration::from_millis(1));
     }
 }

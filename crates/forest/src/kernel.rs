@@ -54,6 +54,23 @@
 //! `leaf_depth1` in the layout's QS tables) indexed directly by
 //! `trailing_zeros` — no node→code→dictionary gather chain.
 //!
+//! ## Two rank sources
+//!
+//! Both paths start a block by filling each row's per-feature ranks;
+//! that fill is the only step that depends on where the rows come
+//! from, so the kernel body is generic over a rank source and
+//! everything after the fill is one body:
+//!
+//! - **Rows** (`&[Vec<f64>]`, every `predict_*` entry point): the
+//!   branchless binary search `rank` per (row, feature) cell.
+//! - **Domain codes** (`D*`, through [`crate::Forest::domain_labeler`]):
+//!   every `D*` cell is one of its feature's domain values, so the rank
+//!   of each domain value is searched once per `D*` into a per-feature
+//!   code table, and the fill reads `table[code]`. The tables hold the
+//!   same unclamped rank the search returns for that value; the QS fill
+//!   clamps either source's rank to the feature's entry count, so both
+//!   give identical cutoffs and the labels are bit-identical.
+//!
 //! ## Rank-quantized predicated descent (wide-tree fallback)
 //!
 //! Restructures the walker's computation four ways:
@@ -120,8 +137,9 @@
 //! [`FlatForest::build`]'s validation: child indices stay inside the
 //! node arrays (self-loops included), leaf-value dictionary codes are
 //! dense by construction, and internal features are `< num_features`,
-//! which each entry point asserts against every row's length before
-//! ranking — so `r·nf + feat` stays inside the per-block rank table.
+//! so `r·nf + feat` stays inside the per-block rank table. The rank
+//! fill reads rows, codes and code tables with checked indexing, so a
+//! row narrower than the forest panics there, like the walker.
 //! On the QS path, rank results are clamped to each feature's entry
 //! count before use as cutoffs, entry `tree` halves index the
 //! `trees`-sized bitvector array they were built from, and the exit
@@ -131,6 +149,7 @@
 //! without it.
 
 use crate::layout::{FlatForest, QsTables};
+use crate::LabelScale;
 
 /// Rows descending one tree together. 64 rows × (4 B state + 8 B
 /// pointer + 8 B accumulator) of per-row descent state stays in
@@ -142,47 +161,20 @@ pub const ROW_BLOCK: usize = 64;
 /// re-walks it.
 pub const TREE_BLOCK_NODES: usize = 4096;
 
-/// Raw margin predictions (`base + scale · Σ trees`, no objective
-/// transform) for every row of `xs`.
+/// Labels of every row of `xs` on `scale`, plus the node visits the
+/// walker would have counted ([`LabelScale::Counted`]; 0 otherwise).
+/// The kernel does not count during traversal: a row's visits are its
+/// exit leaf's stored root-to-leaf path length (`depth1`).
 ///
 /// Infallible and serial: cooperative deadline checks and gef-par
-/// dispatch live in [`crate::Forest::predict_batch`], which calls the
-/// chunked variants directly.
+/// dispatch live in [`crate::Forest::predict_batch`].
 ///
 /// # Panics
 /// If any row is shorter than the layout's `num_features`, matching the
 /// walker's out-of-bounds panic on short rows.
 ///
 /// ```
-/// use gef_forest::{kernel, Forest, Node, Objective, Tree};
-///
-/// let tree = Tree {
-///     nodes: vec![
-///         Node::split(0, 0.5, 1, 2, 1.0, 4),
-///         Node::leaf(-1.0, 2),
-///         Node::leaf(1.0, 2),
-///     ],
-/// };
-/// let forest = Forest::new(vec![tree], 0.25, 1.0, Objective::RegressionL2, 1);
-/// let flat = forest.flattened().expect("valid forest flattens");
-/// let xs = vec![vec![0.2], vec![0.8]];
-/// let raw = kernel::predict_raw(&flat, &xs);
-/// assert_eq!(raw, vec![-0.75, 1.25]);
-/// // Bitwise-identical to the recursive walker:
-/// assert_eq!(raw[0], forest.predict_raw(&xs[0]));
-/// ```
-pub fn predict_raw(flat: &FlatForest, xs: &[Vec<f64>]) -> Vec<f64> {
-    let mut out = vec![0.0; xs.len()];
-    raw_chunk(flat, xs, 0, &mut out);
-    out
-}
-
-/// Response-scale predictions (raw margin through the objective's
-/// inverse link) for every row of `xs`. Serial and infallible; the
-/// deadline-aware, pool-dispatched path is [`crate::Forest::predict_batch`].
-///
-/// ```
-/// use gef_forest::{kernel, Forest, Node, Objective, Tree};
+/// use gef_forest::{kernel, Forest, LabelScale, Node, Objective, Tree};
 ///
 /// let tree = Tree {
 ///     nodes: vec![
@@ -191,49 +183,38 @@ pub fn predict_raw(flat: &FlatForest, xs: &[Vec<f64>]) -> Vec<f64> {
 ///         Node::leaf(2.0, 2),
 ///     ],
 /// };
-/// let forest = Forest::new(vec![tree], 0.0, 1.0, Objective::BinaryLogistic, 1);
+/// let forest = Forest::new(vec![tree], 0.25, 1.0, Objective::BinaryLogistic, 1);
 /// let flat = forest.flattened().expect("valid forest flattens");
-/// let probs = kernel::predict_response(&flat, &[vec![0.9]]);
-/// assert_eq!(probs[0], forest.predict(&[0.9])); // sigmoid(2), bit-exact
+/// let xs = vec![vec![0.2], vec![0.8]];
+/// let (raw, _) = kernel::predict(&flat, &xs, LabelScale::Raw);
+/// assert_eq!(raw, vec![-1.75, 2.25]);
+/// // Bitwise-identical to the recursive walker:
+/// let (probs, visits) = kernel::predict(&flat, &xs, LabelScale::Counted);
+/// assert_eq!(probs[1], forest.predict(&xs[1]));
+/// assert_eq!(visits, 4); // root and one leaf per row
 /// ```
-pub fn predict_response(flat: &FlatForest, xs: &[Vec<f64>]) -> Vec<f64> {
+pub fn predict(flat: &FlatForest, xs: &[Vec<f64>], scale: LabelScale) -> (Vec<f64>, u64) {
     let mut out = vec![0.0; xs.len()];
-    response_chunk(flat, xs, 0, &mut out);
-    out
-}
-
-/// Response-scale predictions plus the total node-visit count the
-/// walker would have reported (`forest.nodes_visited` telemetry).
-///
-/// The kernel's fixed-depth descent does not count during traversal;
-/// the walker's per-row visit total is recovered exactly as the final
-/// leaf's stored root-to-leaf path length (`depth1`).
-pub fn predict_response_counted(flat: &FlatForest, xs: &[Vec<f64>]) -> (Vec<f64>, u64) {
-    let mut out = vec![0.0; xs.len()];
-    let visited = counted_chunk(flat, xs, 0, &mut out);
+    let visited = chunk(flat, &Rows(xs), 0, &mut out, scale);
     (out, visited)
 }
 
-/// Raw-margin kernel over one output chunk: `out[k]` receives the
-/// prediction for row `xs[start + k]`.
-pub(crate) fn raw_chunk(flat: &FlatForest, xs: &[Vec<f64>], start: usize, out: &mut [f64]) {
-    chunk_impl::<false, false>(flat, xs, start, out);
-}
-
-/// Response-scale kernel over one output chunk.
-pub(crate) fn response_chunk(flat: &FlatForest, xs: &[Vec<f64>], start: usize, out: &mut [f64]) {
-    chunk_impl::<true, false>(flat, xs, start, out);
-}
-
-/// Response-scale kernel over one output chunk, returning the chunk's
-/// walker-equivalent node-visit count.
-pub(crate) fn counted_chunk(
+/// The kernel over one output chunk: `out[k]` receives the label of
+/// row `start + k` of `src` on `scale`. Returns the chunk's
+/// walker-equivalent node-visit count for [`LabelScale::Counted`], 0
+/// otherwise.
+pub(crate) fn chunk<S: Ranks>(
     flat: &FlatForest,
-    xs: &[Vec<f64>],
+    src: &S,
     start: usize,
     out: &mut [f64],
+    scale: LabelScale,
 ) -> u64 {
-    chunk_impl::<true, true>(flat, xs, start, out)
+    match scale {
+        LabelScale::Raw => chunk_impl::<false, false, S>(flat, src, start, out),
+        LabelScale::Response => chunk_impl::<true, false, S>(flat, src, start, out),
+        LabelScale::Counted => chunk_impl::<true, true, S>(flat, src, start, out),
+    }
 }
 
 /// Rank of `x` in a sorted threshold table: `#{t : t < x}`, so
@@ -241,9 +222,10 @@ pub(crate) fn counted_chunk(
 /// proof obligations). NaN ranks `u32::MAX`: it compares false against
 /// every node rank and routes right, like the walker's `x <= t`.
 ///
-/// Branchless binary search — the compare folds to a conditional move,
-/// because a data-dependent branch here would mispredict ~50% per probe
-/// on the paper workload's near-uniform feature draws.
+/// Branchless binary search. The probe's outcome is a coin flip on the
+/// paper workload's near-uniform feature draws, so a branch on it
+/// would mispredict about half the time; `select_unpredictable` asks
+/// for a conditional move instead, and the compares are the same.
 #[inline]
 fn rank(table: &[f64], x: f64) -> u32 {
     if x.is_nan() {
@@ -257,27 +239,109 @@ fn rank(table: &[f64], x: f64) -> u32 {
         // entry and is preserved: base grows by half only as n shrinks
         // by half.
         let probe = unsafe { *table.get_unchecked(base + half - 1) };
-        base += if probe < x { half } else { 0 };
+        base = std::hint::select_unpredictable(probe < x, base + half, base);
         n -= half;
     }
     let last = table.get(base).is_some_and(|&t| t < x);
     (base + usize::from(last)) as u32
 }
 
+/// Where the kernel reads each row's feature ranks from. The rank fill
+/// at the top of every row block is the only step that differs between
+/// labelling `f64` rows and labelling domain codes; mask application,
+/// descent and finalize are one body for both.
+pub(crate) trait Ranks: Sync {
+    /// Rank of row `r`'s feature `f` in `table`, feature `f`'s sorted
+    /// table in the layout (QS entries or descent thresholds).
+    fn rank(&self, r: usize, f: usize, table: &[f64]) -> u32;
+}
+
+/// Ranks searched for in materialized `f64` rows.
+pub(crate) struct Rows<'a>(pub(crate) &'a [Vec<f64>]);
+
+impl Ranks for Rows<'_> {
+    #[inline]
+    fn rank(&self, r: usize, f: usize, table: &[f64]) -> u32 {
+        rank(table, self.0[r][f])
+    }
+}
+
+/// Largest sampling domain the code path takes: a `u16` code holds
+/// indices `0..=65_535`.
+pub const MAX_CODED_DOMAIN: usize = 1 << 16;
+
+/// Per-feature code→rank tables for one layout and one set of sampling
+/// domains: `ranks[f][k]` is the rank of `domains[f][k]` in feature
+/// `f`'s table — the QS entry table when the layout has one, else the
+/// descent threshold table — exactly what [`rank`] returns for that
+/// value. An empty domain stands for the constant 0.0 at code 0. The
+/// kernel clamps a code's rank just as it clamps a searched one, so
+/// both sources give the same cutoffs.
+#[derive(Debug)]
+pub(crate) struct CodeTables {
+    ranks: Vec<Vec<u32>>,
+}
+
+impl CodeTables {
+    /// Tables for `domains` against `flat`, or `None` when a domain
+    /// does not fit a `u16` code or the domains do not cover the
+    /// layout's features one to one.
+    pub(crate) fn build(flat: &FlatForest, domains: &[Vec<f64>]) -> Option<CodeTables> {
+        if domains.len() != flat.num_features || domains.iter().any(|d| d.len() > MAX_CODED_DOMAIN)
+        {
+            return None;
+        }
+        let ranks = domains
+            .iter()
+            .enumerate()
+            .map(|(f, dom)| {
+                let table = match &flat.qs {
+                    Some(qs) => &qs.thr[qs.offsets[f] as usize..qs.offsets[f + 1] as usize],
+                    None => {
+                        &flat.ft_values
+                            [flat.ft_offsets[f] as usize..flat.ft_offsets[f + 1] as usize]
+                    }
+                };
+                if dom.is_empty() {
+                    vec![rank(table, 0.0)]
+                } else {
+                    dom.iter().map(|&v| rank(table, v)).collect()
+                }
+            })
+            .collect();
+        Some(CodeTables { ranks })
+    }
+}
+
+/// Ranks read from domain codes: row `r`'s feature `f` is domain value
+/// `codes[r · nf + f]`, row-major over the layout's `nf` features.
+pub(crate) struct Codes<'a> {
+    pub(crate) codes: &'a [u16],
+    pub(crate) tables: &'a CodeTables,
+}
+
+impl Ranks for Codes<'_> {
+    #[inline]
+    fn rank(&self, r: usize, f: usize, _table: &[f64]) -> u32 {
+        let code = self.codes[r * self.tables.ranks.len() + f];
+        self.tables.ranks[f][usize::from(code)]
+    }
+}
+
 /// The blocked descent. `TRANSFORM` applies the objective's inverse
 /// link; `COUNTED` accumulates walker-equivalent node visits (constant
 /// generics so the two cold features cost nothing when off).
-fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool>(
+fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     flat: &FlatForest,
-    xs: &[Vec<f64>],
+    src: &S,
     start: usize,
     out: &mut [f64],
 ) -> u64 {
-    // Forests whose trees all fit a 64-bit leaf mask (the paper trains
+    // Forests whose trees all fit a 32-bit leaf mask (the paper trains
     // 32-leaf trees) take the QuickScorer bitvector path: streaming
     // mask ANDs instead of per-node descent. Wider trees descend.
     if let Some(qs) = flat.qs.as_ref() {
-        return qs_impl::<TRANSFORM, COUNTED>(flat, qs, xs, start, out);
+        return qs_impl::<TRANSFORM, COUNTED, S>(flat, qs, src, start, out, qs_simd_available());
     }
     let nf = flat.num_features;
     let mut visited = 0u64;
@@ -290,23 +354,16 @@ fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool>(
     let mut block_start = 0usize;
     while block_start < out.len() {
         let bn = ROW_BLOCK.min(out.len() - block_start);
-        let rows = &xs[start + block_start..start + block_start + bn];
-        for row in rows {
-            assert!(
-                row.len() >= nf,
-                "feature row has {} values, forest expects {nf}",
-                row.len()
-            );
-        }
+        let first = start + block_start;
         // Rank every row's feature values once; each descent step below
         // is then a pure u32 compare with no f64 gather. Feature-major
-        // so each table is searched while hot.
+        // so each table is searched (or each code table read) while hot.
         for f in 0..nf {
             let lo = flat.ft_offsets[f] as usize;
             let hi = flat.ft_offsets[f + 1] as usize;
             let table = &flat.ft_values[lo..hi];
-            for (r, row) in rows.iter().enumerate() {
-                xr[r * nf + f] = rank(table, row[f]);
+            for r in 0..bn {
+                xr[r * nf + f] = src.rank(first + r, f, table);
             }
         }
 
@@ -410,33 +467,6 @@ fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool>(
 /// its neighbours' instead of stalling.
 pub const QS_SUB: usize = 16;
 
-/// The QuickScorer bitvector path (see [`crate::layout::QsTables`]).
-///
-/// Per sub-block of [`QS_SUB`] rows: rank each row's feature values
-/// against the feature's threshold-sorted entry list — the rank is the
-/// row's *cutoff*, the count of false split conditions (`t < x`), which
-/// form a prefix of the list — then stream the entries up to the
-/// sub-block's largest cutoff once, ANDing each entry's packed mask
-/// into its tree's leaf bitvector for every row whose cutoff covers it
-/// (lane-predicated: parked lanes AND an identity mask). The exit leaf
-/// of every tree is the lowest surviving bit. No per-node pointer
-/// chases: the inner loops read one sequential `u64` array and
-/// read-modify-write 16 contiguous lanes per visit.
-///
-/// Determinism: each row's leaf values accumulate in global tree order,
-/// the exact walker fold; NaN features rank `u32::MAX`, clamp to the
-/// full entry list (every condition false), and so route right at every
-/// split like the walker.
-fn qs_impl<const TRANSFORM: bool, const COUNTED: bool>(
-    flat: &FlatForest,
-    qs: &QsTables,
-    xs: &[Vec<f64>],
-    start: usize,
-    out: &mut [f64],
-) -> u64 {
-    qs_impl_inner::<TRANSFORM, COUNTED>(flat, qs, xs, start, out, qs_simd_available())
-}
-
 /// Whether the lane-parallel AVX2 entry application is available on
 /// this machine (checked at runtime — the build targets baseline
 /// x86-64, so the kernel stays portable and self-selects).
@@ -457,7 +487,7 @@ fn qs_simd_available() -> bool {
 /// lane of the entry's tree stripe. Parked lanes hold cutoff 0 and do
 /// no work.
 ///
-/// Bounds contract (callers': see [`qs_impl_inner`]): every
+/// Bounds contract (callers': see [`qs_impl`]): every
 /// `cuts[rl] <= ` the feature's entry count, `lo` is the feature's
 /// entry offset, and `bv` is the full `trees * QS_SUB` stripe array.
 #[inline]
@@ -525,14 +555,31 @@ unsafe fn qs_apply_avx2(ent: &[u64], lo: usize, cmax: usize, cuts: &[i32; QS_SUB
     }
 }
 
-/// [`qs_impl`] body with the SIMD dispatch explicit, so tests can force
-/// the scalar application path on machines where detection would pick
-/// AVX2 (both must be bitwise-identical to the walker).
+/// The QuickScorer bitvector path (see [`crate::layout::QsTables`]).
+///
+/// Per sub-block of [`QS_SUB`] rows: rank each row's feature values
+/// against the feature's threshold-sorted entry list — the rank is the
+/// row's *cutoff*, the count of false split conditions (`t < x`), which
+/// form a prefix of the list — then stream the entries up to the
+/// sub-block's largest cutoff once, ANDing each entry's packed mask
+/// into its tree's leaf bitvector for every row whose cutoff covers it
+/// (lane-predicated: parked lanes AND an identity mask). The exit leaf
+/// of every tree is the lowest surviving bit. No per-node pointer
+/// chases: the inner loops read one sequential `u64` array and
+/// read-modify-write 16 contiguous lanes per visit.
+///
+/// Determinism: each row's leaf values accumulate in global tree order,
+/// the exact walker fold; NaN features rank `u32::MAX`, clamp to the
+/// full entry list (every condition false), and so route right at every
+/// split like the walker.
+/// The SIMD dispatch is explicit (`allow_simd`), so tests can force the
+/// scalar application path on machines where detection would pick AVX2
+/// (both must be bitwise-identical to the walker).
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn qs_impl_inner<const TRANSFORM: bool, const COUNTED: bool>(
+fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     flat: &FlatForest,
     qs: &QsTables,
-    xs: &[Vec<f64>],
+    src: &S,
     start: usize,
     out: &mut [f64],
     allow_simd: bool,
@@ -549,26 +596,20 @@ fn qs_impl_inner<const TRANSFORM: bool, const COUNTED: bool>(
     let mut sub = 0usize;
     while sub < out.len() {
         let sn = QS_SUB.min(out.len() - sub);
-        let rows = &xs[start + sub..start + sub + sn];
-        for row in rows {
-            assert!(
-                row.len() >= nf,
-                "feature row has {} values, forest expects {nf}",
-                row.len()
-            );
-        }
+        let first = start + sub;
         // Rank once per sub-block, feature-major so each entry list is
-        // searched while hot and the independent search chains overlap.
+        // searched (or each code table read) while hot and the
+        // independent search chains overlap.
         for (f, lanes) in cutt.iter_mut().enumerate() {
             let lo = qs.offsets[f] as usize;
             let hi = qs.offsets[f + 1] as usize;
             let table = &qs.thr[lo..hi];
             let len = table.len() as u32;
             *lanes = [0; QS_SUB];
-            for (rl, row) in rows.iter().enumerate() {
+            for (rl, lane) in lanes.iter_mut().take(sn).enumerate() {
                 // Entry counts are <= i32::MAX by layout construction,
                 // so the clamped rank is i32-representable.
-                lanes[rl] = rank(table, row[f]).min(len) as i32;
+                *lane = src.rank(first + rl, f, table).min(len) as i32;
             }
         }
         // All-ones start: bits at or above a tree's leaf count are
@@ -659,8 +700,8 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..300)
             .map(|i| vec![(i % 17) as f64 / 16.0, (i % 5) as f64 / 4.0])
             .collect();
-        let raw = predict_raw(&flat, &xs);
-        let resp = predict_response(&flat, &xs);
+        let (raw, _) = predict(&flat, &xs, LabelScale::Raw);
+        let (resp, _) = predict(&flat, &xs, LabelScale::Response);
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(raw[i].to_bits(), forest.predict_raw(x).to_bits());
             assert_eq!(resp[i].to_bits(), forest.predict(x).to_bits());
@@ -674,7 +715,7 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![(i % 13) as f64 / 12.0, (i % 7) as f64 / 6.0])
             .collect();
-        let (resp, visited) = predict_response_counted(&flat, &xs);
+        let (resp, visited) = predict(&flat, &xs, LabelScale::Counted);
         let mut want_visits = 0u64;
         for (i, x) in xs.iter().enumerate() {
             let (raw, n) = forest.predict_raw_counted(x);
@@ -693,7 +734,7 @@ mod tests {
             vec![0.1, f64::NAN],
             vec![f64::NAN, f64::NAN],
         ];
-        let raw = predict_raw(&flat, &xs);
+        let raw = predict(&flat, &xs, LabelScale::Raw).0;
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(raw[i].to_bits(), forest.predict_raw(x).to_bits());
         }
@@ -718,9 +759,9 @@ mod tests {
             .collect();
         for allow_simd in [false, true] {
             let mut raw = vec![0.0; xs.len()];
-            qs_impl_inner::<false, false>(&flat, qs, &xs, 0, &mut raw, allow_simd);
+            qs_impl::<false, false, _>(&flat, qs, &Rows(&xs), 0, &mut raw, allow_simd);
             let mut resp = vec![0.0; xs.len()];
-            let visited = qs_impl_inner::<true, true>(&flat, qs, &xs, 0, &mut resp, allow_simd);
+            let visited = qs_impl::<true, true, _>(&flat, qs, &Rows(&xs), 0, &mut resp, allow_simd);
             let mut want_visits = 0u64;
             for (i, x) in xs.iter().enumerate() {
                 let (wraw, n) = forest.predict_raw_counted(x);
@@ -737,6 +778,61 @@ mod tests {
                 );
             }
             assert_eq!(visited, want_visits, "simd={allow_simd}");
+        }
+    }
+
+    /// Code ranks feed the same two application paths: scalar and SIMD
+    /// labels from codes equal the walker's on the values the codes
+    /// stand for, with an empty domain (the constant 0.0) on feature 0,
+    /// thresholds, values off every threshold and NaN on feature 1.
+    #[test]
+    fn scalar_and_simd_qs_applications_match_walker_from_codes() {
+        let forest = forest();
+        let flat = forest.flattened().expect("valid forest flattens");
+        let qs = flat.qs.as_ref().expect("small trees build QS tables");
+        for domains in [
+            vec![vec![], vec![-1.0, 0.25, 0.5, 0.75, 0.9, f64::NAN]],
+            vec![vec![0.5, 0.49, 2.0], vec![0.25]],
+        ] {
+            let tables = CodeTables::build(&flat, &domains).expect("small domains");
+            let n = 150;
+            let mut codes = Vec::new();
+            let mut xs = Vec::new();
+            for i in 0..n {
+                let row: Vec<f64> = domains
+                    .iter()
+                    .enumerate()
+                    .map(|(f, dom)| {
+                        let k = if dom.is_empty() {
+                            0
+                        } else {
+                            (i * (f + 2)) % dom.len()
+                        };
+                        codes.push(k as u16);
+                        dom.get(k).copied().unwrap_or(0.0)
+                    })
+                    .collect();
+                xs.push(row);
+            }
+            let src = Codes {
+                codes: &codes,
+                tables: &tables,
+            };
+            for allow_simd in [false, true] {
+                let mut resp = vec![0.0; n];
+                let visited = qs_impl::<true, true, _>(&flat, qs, &src, 0, &mut resp, allow_simd);
+                let mut want_visits = 0u64;
+                for (i, x) in xs.iter().enumerate() {
+                    let (wraw, v) = forest.predict_raw_counted(x);
+                    want_visits += v;
+                    assert_eq!(
+                        resp[i].to_bits(),
+                        forest.objective.transform(wraw).to_bits(),
+                        "simd={allow_simd} row {i}"
+                    );
+                }
+                assert_eq!(visited, want_visits, "simd={allow_simd}");
+            }
         }
     }
 
@@ -762,7 +858,7 @@ mod tests {
         let flat = forest.flattened().expect("wide tree flattens");
         assert!(flat.qs.is_none(), "41-leaf tree must not build QS tables");
         let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i as f64 - 50.0) / 120.0]).collect();
-        let raw = predict_raw(&flat, &xs);
+        let raw = predict(&flat, &xs, LabelScale::Raw).0;
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(raw[i].to_bits(), forest.predict_raw(x).to_bits());
         }
@@ -772,7 +868,7 @@ mod tests {
     fn short_row_panics_like_walker() {
         let forest = forest();
         let flat = forest.flattened().expect("valid forest flattens");
-        let result = std::panic::catch_unwind(|| predict_raw(&flat, &[vec![0.5]]));
+        let result = std::panic::catch_unwind(|| predict(&flat, &[vec![0.5]], LabelScale::Raw).0);
         assert!(result.is_err(), "1-wide row into a 2-feature forest");
     }
 
@@ -780,7 +876,7 @@ mod tests {
     fn empty_batch_and_single_leaf_forest() {
         let forest = forest();
         let flat = forest.flattened().expect("valid forest flattens");
-        assert!(predict_raw(&flat, &[]).is_empty());
+        assert!(predict(&flat, &[], LabelScale::Raw).0.is_empty());
 
         let stub = Forest::new(
             vec![Tree::constant(1.5, 3)],
@@ -791,9 +887,9 @@ mod tests {
         );
         let flat = stub.flattened().expect("single leaf flattens");
         // Zero-feature rows are fine: depth 0 means no feature access.
-        let raw = predict_raw(&flat, &[vec![], vec![]]);
+        let raw = predict(&flat, &[vec![], vec![]], LabelScale::Raw).0;
         assert_eq!(raw, vec![3.25, 3.25]);
-        let (_, visited) = predict_response_counted(&flat, &[vec![]]);
+        let (_, visited) = predict(&flat, &[vec![]], LabelScale::Counted);
         assert_eq!(visited, 1, "walker visits exactly the root leaf");
     }
 }

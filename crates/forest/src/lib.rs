@@ -223,14 +223,14 @@ impl Forest {
 
     /// Batch raw predictions.
     ///
-    /// Rides the flattened kernel ([`kernel::predict_raw`]) when the
+    /// Rides the flattened kernel ([`kernel::predict`]) when the
     /// batch clears the kernel work floor; otherwise the per-row walker.
     /// Infallible (no deadline checkpoints) and always serial, matching
     /// its original contract — the pool-dispatched, deadline-aware entry
     /// point is [`Forest::predict_batch`].
     pub fn predict_raw_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
         if let Some(flat) = self.kernel_layout(xs.len()) {
-            return kernel::predict_raw(&flat, xs);
+            return kernel::predict(&flat, xs, LabelScale::Raw).0;
         }
         xs.iter().map(|x| self.predict_raw(x)).collect()
     }
@@ -259,46 +259,8 @@ impl Forest {
     /// [`ForestError::DeadlineExceeded`]; a worker panic comes back as
     /// [`ForestError::WorkerPanicked`] instead of unwinding.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>> {
-        if let Some(flat) = self.kernel_layout(xs.len()) {
-            let mut out = vec![0.0; xs.len()];
-            if !self.batch_is_parallel(xs.len()) {
-                for (start, end) in stripes(xs.len()) {
-                    if gef_trace::budget::hard_exceeded() {
-                        return Err(ForestError::DeadlineExceeded { at: "predict" });
-                    }
-                    kernel::response_chunk(&flat, xs, start, &mut out[start..end]);
-                }
-                return Ok(out);
-            }
-            gef_par::for_each_chunk_mut(
-                &mut out,
-                gef_par::Options::coarse().with_label("forest.kernel"),
-                |_, start, chunk| kernel::response_chunk(&flat, xs, start, chunk),
-            )?;
-            return Ok(out);
-        }
-        let mut out = vec![0.0; xs.len()];
-        if !self.batch_is_parallel(xs.len()) {
-            for (ri, (x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
-                // Row-striped checkpoint: cheap relaxed load, checked at
-                // chunk-sized strides so huge serial batches stay bounded.
-                if ri % 1024 == 0 && gef_trace::budget::hard_exceeded() {
-                    return Err(ForestError::DeadlineExceeded { at: "predict" });
-                }
-                *o = self.predict(x);
-            }
-            return Ok(out);
-        }
-        gef_par::for_each_chunk_mut(
-            &mut out,
-            gef_par::Options::coarse().with_label("forest.predict_batch"),
-            |_, start, chunk| {
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    *o = self.predict(&xs[start + k]);
-                }
-            },
-        )?;
-        Ok(out)
+        self.predict_batch_on(xs, LabelScale::Response)
+            .map(|(out, _)| out)
     }
 
     /// Raw margin prediction plus the number of tree nodes visited.
@@ -325,57 +287,59 @@ impl Forest {
     /// during D* labeling. The kernel path reproduces the walker's
     /// exact visit totals from the layout's per-node depth table.
     pub fn predict_batch_counted(&self, xs: &[Vec<f64>]) -> Result<(Vec<f64>, u64)> {
-        if let Some(flat) = self.kernel_layout(xs.len()) {
-            let mut out = vec![0.0; xs.len()];
-            if !self.batch_is_parallel(xs.len()) {
-                let mut visited = 0u64;
-                for (start, end) in stripes(xs.len()) {
-                    if gef_trace::budget::hard_exceeded() {
-                        return Err(ForestError::DeadlineExceeded { at: "predict" });
-                    }
-                    visited += kernel::counted_chunk(&flat, xs, start, &mut out[start..end]);
-                }
-                return Ok((out, visited));
-            }
-            let visited = std::sync::atomic::AtomicU64::new(0);
-            gef_par::for_each_chunk_mut(
-                &mut out,
-                gef_par::Options::coarse().with_label("forest.kernel"),
-                |_, start, chunk| {
-                    let local = kernel::counted_chunk(&flat, xs, start, chunk);
-                    visited.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-                },
-            )?;
-            return Ok((out, visited.into_inner()));
-        }
+        self.predict_batch_on(xs, LabelScale::Counted)
+    }
+
+    /// [`Forest::predict_batch`] on any label scale.
+    fn predict_batch_on(&self, xs: &[Vec<f64>], scale: LabelScale) -> Result<(Vec<f64>, u64)> {
         let mut out = vec![0.0; xs.len()];
-        if !self.batch_is_parallel(xs.len()) {
-            let mut visited = 0u64;
-            for (ri, (x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
-                if ri % 1024 == 0 && gef_trace::budget::hard_exceeded() {
-                    return Err(ForestError::DeadlineExceeded { at: "predict" });
-                }
-                let (raw, n) = self.predict_raw_counted(x);
-                visited += n;
-                *o = self.objective.transform(raw);
-            }
-            return Ok((out, visited));
-        }
-        let visited = std::sync::atomic::AtomicU64::new(0);
-        gef_par::for_each_chunk_mut(
-            &mut out,
-            gef_par::Options::coarse().with_label("forest.predict_batch"),
-            |_, start, chunk| {
-                let mut local = 0u64;
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    let (raw, n) = self.predict_raw_counted(&xs[start + k]);
-                    local += n;
-                    *o = self.objective.transform(raw);
-                }
-                visited.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-            },
-        )?;
-        Ok((out, visited.into_inner()))
+        let visited = LabelPlan::new(self, xs.len(), None, scale).run(&[], xs, &mut out)?;
+        Ok((out, visited))
+    }
+
+    /// A labelling plan for a `D*` of `n_rows` rows whose cells are
+    /// drawn from `domains` (one per feature; an empty domain stands
+    /// for the constant 0.0). The caller labels `D*` one block of rows
+    /// at a time with [`DomainLabeler::label`], passing each block both
+    /// as domain codes and as materialized rows.
+    ///
+    /// The plan is fixed here, once per `D*`: the kernel reads each
+    /// cell's rank from a per-feature code table (built now, against
+    /// the layout's own threshold tables) when [`Forest::predict_batch`]
+    /// would take the kernel for `n_rows` rows and every domain fits a
+    /// `u16` code ([`kernel::MAX_CODED_DOMAIN`] values at most);
+    /// otherwise each block takes `predict_batch`'s path on its rows.
+    /// Serial or pool is `predict_batch`'s rule for `n_rows`. Every
+    /// route labels bit-identically to the walker.
+    ///
+    /// ```
+    /// use gef_forest::{Forest, LabelScale, Node, Objective, Tree};
+    ///
+    /// let tree = Tree {
+    ///     nodes: vec![
+    ///         Node::split(0, 0.5, 1, 2, 1.0, 4),
+    ///         Node::leaf(-1.0, 2),
+    ///         Node::leaf(1.0, 2),
+    ///     ],
+    /// };
+    /// let trees = vec![tree; 128];
+    /// let forest = Forest::new(trees, 0.0, 1.0, Objective::RegressionL2, 1);
+    /// let domains = vec![vec![0.25, 0.5, 0.75]];
+    /// let labeler = forest.domain_labeler(&domains, 64, LabelScale::Response);
+    /// assert!(labeler.uses_codes());
+    /// let codes: Vec<u16> = (0..64).map(|i| (i % 3) as u16).collect();
+    /// let rows: Vec<Vec<f64>> = codes.iter().map(|&k| vec![domains[0][k as usize]]).collect();
+    /// let mut labels = vec![0.0; 64];
+    /// labeler.label(&codes, &rows, &mut labels).unwrap();
+    /// assert_eq!(labels, forest.predict_batch(&rows).unwrap());
+    /// ```
+    pub fn domain_labeler(
+        &self,
+        domains: &[Vec<f64>],
+        n_rows: usize,
+        scale: LabelScale,
+    ) -> DomainLabeler<'_> {
+        DomainLabeler(LabelPlan::new(self, n_rows, Some(domains), scale))
     }
 
     /// Total number of nodes (internal + leaves) across all trees.
@@ -418,6 +382,167 @@ impl Forest {
             }
         }
         d.finish()
+    }
+}
+
+/// What a batch label is: the raw margin, or the response scale with
+/// or without the walker's node-visit count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelScale {
+    /// Raw margin, `base_score + scale · Σ trees` ([`Forest::predict_raw`]).
+    Raw,
+    /// Response scale ([`Forest::predict`]).
+    Response,
+    /// Response scale, plus the node visits the walker would count
+    /// ([`Forest::predict_raw_counted`]).
+    Counted,
+}
+
+/// How a plan labels rows.
+enum Route {
+    /// The per-row recursive walker.
+    Walker,
+    /// The kernel, ranking the materialized `f64` rows.
+    Rows(Arc<FlatForest>),
+    /// The kernel, reading ranks from domain-code tables.
+    Codes(Arc<FlatForest>, kernel::CodeTables),
+}
+
+/// A route, a scale and the serial-or-pool choice, fixed for a batch
+/// or for a whole `D*`.
+struct LabelPlan<'a> {
+    forest: &'a Forest,
+    route: Route,
+    parallel: bool,
+    scale: LabelScale,
+}
+
+impl<'a> LabelPlan<'a> {
+    /// [`Forest::predict_batch`]'s plan for `n_rows` rows: the kernel
+    /// when the layout is valid, no fault is armed and the batch clears
+    /// the kernel floor, else the walker; the pool when the batch is
+    /// large enough. With `domains`, the kernel reads code tables
+    /// instead of the rows whenever every domain fits a `u16` code.
+    fn new(
+        forest: &'a Forest,
+        n_rows: usize,
+        domains: Option<&[Vec<f64>]>,
+        scale: LabelScale,
+    ) -> LabelPlan<'a> {
+        let route = match forest.kernel_layout(n_rows) {
+            Some(flat) => match domains.and_then(|d| kernel::CodeTables::build(&flat, d)) {
+                Some(tables) => Route::Codes(flat, tables),
+                None => Route::Rows(flat),
+            },
+            None => Route::Walker,
+        };
+        LabelPlan {
+            forest,
+            route,
+            parallel: forest.batch_is_parallel(n_rows),
+            scale,
+        }
+    }
+
+    /// Label every row into `out` (`codes` is read only on the code
+    /// route): serial stripes of [`KERNEL_STRIPE_ROWS`] rows with a
+    /// hard-deadline check before each, or fixed chunks on the pool.
+    /// Returns the node-visit total for [`LabelScale::Counted`].
+    fn run(&self, codes: &[u16], xs: &[Vec<f64>], out: &mut [f64]) -> Result<u64> {
+        if !self.parallel {
+            let mut visited = 0u64;
+            for (start, end) in stripes(out.len()) {
+                if gef_trace::budget::hard_exceeded() {
+                    return Err(ForestError::DeadlineExceeded { at: "predict" });
+                }
+                visited += self.span(codes, xs, start, &mut out[start..end]);
+            }
+            return Ok(visited);
+        }
+        let label = match self.route {
+            Route::Walker => "forest.predict_batch",
+            _ => "forest.kernel",
+        };
+        let visited = std::sync::atomic::AtomicU64::new(0);
+        gef_par::for_each_chunk_mut(
+            out,
+            gef_par::Options::coarse().with_label(label),
+            |_, start, chunk| {
+                let local = self.span(codes, xs, start, chunk);
+                visited.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
+            },
+        )?;
+        Ok(visited.into_inner())
+    }
+
+    /// Label rows `start..start + out.len()` on this thread.
+    fn span(&self, codes: &[u16], xs: &[Vec<f64>], start: usize, out: &mut [f64]) -> u64 {
+        match &self.route {
+            Route::Rows(flat) => kernel::chunk(flat, &kernel::Rows(xs), start, out, self.scale),
+            Route::Codes(flat, tables) => {
+                let src = kernel::Codes { codes, tables };
+                kernel::chunk(flat, &src, start, out, self.scale)
+            }
+            Route::Walker => {
+                let forest = self.forest;
+                let mut visited = 0u64;
+                for (o, x) in out.iter_mut().zip(&xs[start..]) {
+                    *o = match self.scale {
+                        LabelScale::Raw => forest.predict_raw(x),
+                        LabelScale::Response => forest.predict(x),
+                        LabelScale::Counted => {
+                            let (raw, n) = forest.predict_raw_counted(x);
+                            visited += n;
+                            forest.objective.transform(raw)
+                        }
+                    };
+                }
+                visited
+            }
+        }
+    }
+}
+
+/// Labels one `D*` block by block along a plan fixed once per `D*`
+/// (see [`Forest::domain_labeler`]).
+pub struct DomainLabeler<'a>(LabelPlan<'a>);
+
+impl DomainLabeler<'_> {
+    /// Whether blocks are labelled from their domain codes (rather than
+    /// from their materialized rows).
+    pub fn uses_codes(&self) -> bool {
+        matches!(self.0.route, Route::Codes(..))
+    }
+
+    /// Label one block into `out` on the labeler's scale and return the
+    /// walker-equivalent node visits ([`LabelScale::Counted`]; 0
+    /// otherwise). `codes` holds the block row-major, `rows.len() ×
+    /// num_features` domain indices; `rows` holds the same block as
+    /// feature values. Only the route's own input is read, so `codes`
+    /// may be empty when the labeler [`uses_codes`](Self::uses_codes)
+    /// is false.
+    ///
+    /// # Errors
+    /// [`ForestError::InvalidData`] when `out` and `rows` differ in
+    /// length or the code route gets the wrong number of codes;
+    /// [`ForestError::DeadlineExceeded`] and
+    /// [`ForestError::WorkerPanicked`] as in [`Forest::predict_batch`].
+    ///
+    /// # Panics
+    /// On the code route, if a code is outside its feature's domain;
+    /// on the row routes, if a row is narrower than the forest (as
+    /// [`Forest::predict_batch`] does).
+    pub fn label(&self, codes: &[u16], rows: &[Vec<f64>], out: &mut [f64]) -> Result<u64> {
+        let nf = self.0.forest.num_features;
+        if out.len() != rows.len() || (self.uses_codes() && codes.len() != rows.len() * nf) {
+            return Err(ForestError::InvalidData(format!(
+                "a block of {} labels, {} rows and {} codes over {nf} features",
+                out.len(),
+                rows.len(),
+                codes.len()
+            )));
+        }
+        self.0.run(codes, rows, out)
     }
 }
 

@@ -14,7 +14,7 @@
 //! `CASES` inputs drawn from `Rng::seed(case)`; a failure names its
 //! case seed.
 
-use gef_forest::{Forest, GbdtParams, GbdtTrainer, Node, Objective, Tree};
+use gef_forest::{Forest, GbdtParams, GbdtTrainer, LabelScale, Node, Objective, Tree};
 use gef_trace::rng::Rng;
 use std::sync::Mutex;
 
@@ -362,4 +362,232 @@ fn tiny_batches_stay_on_the_walker() {
         .expect("no deadline armed");
     assert_eq!(out, vec![-1.0]);
     assert!(!forest.layout_cached(), "tiny batch built a layout");
+}
+
+/// Split thresholds from a pool of nine values, so trees share
+/// thresholds and a feature repeats them.
+fn pooled_threshold(rng: &mut Rng) -> f64 {
+    (rng.below(9) as f64 - 4.0) / 4.0
+}
+
+/// A tree that splits on pooled thresholds: complete to `depth` when
+/// `full` (2^depth leaves), else a random shape as in [`arb_tree`].
+fn pooled_tree(rng: &mut Rng, d: usize, depth: u32, full: bool) -> Tree {
+    if depth == 0 || (!full && rng.below(2) == 0) {
+        return Tree {
+            nodes: vec![Node::leaf(hundredths(rng), 1)],
+        };
+    }
+    let left = pooled_tree(rng, d, depth - 1, full);
+    let right = pooled_tree(rng, d, depth - 1, full);
+    let feature = rng.below(d as u64) as usize;
+    let mut nodes = vec![Node::split(
+        feature,
+        pooled_threshold(rng),
+        1,
+        1 + left.nodes.len() as u32,
+        1.0,
+        2,
+    )];
+    for (sub, off) in [(&left, 1u32), (&right, 1 + left.nodes.len() as u32)] {
+        nodes.extend(sub.nodes.iter().map(|n| {
+            let mut n = *n;
+            if !n.is_leaf() {
+                n.left += off;
+                n.right += off;
+            }
+            n
+        }));
+    }
+    Tree { nodes }
+}
+
+/// Domains over `d` features: one empty (the constant 0.0), one with a
+/// single value, the rest holding every pooled threshold, values
+/// between them, values below and above every threshold, ±0.0 and NaN.
+fn pooled_domains(rng: &mut Rng, d: usize) -> Vec<Vec<f64>> {
+    let empty = rng.below(d as u64) as usize;
+    let single = (empty + 1) % d;
+    (0..d)
+        .map(|f| {
+            if f == empty {
+                Vec::new()
+            } else if f == single {
+                vec![pooled_threshold(rng)]
+            } else {
+                let mut dom: Vec<f64> = (0..9).map(|k| (k as f64 - 4.0) / 4.0).collect();
+                dom.extend((0..8).map(|k| (k as f64 - 3.5) / 4.0));
+                dom.extend([-7.0, 7.0, 0.0, -0.0, f64::NAN]);
+                dom
+            }
+        })
+        .collect()
+}
+
+/// Draw `n` rows as codes and as the values they stand for.
+fn coded_rows(rng: &mut Rng, domains: &[Vec<f64>], n: usize) -> (Vec<u16>, Vec<Vec<f64>>) {
+    let mut codes = Vec::with_capacity(n * domains.len());
+    let rows = (0..n)
+        .map(|_| {
+            domains
+                .iter()
+                .map(|dom| {
+                    if dom.is_empty() {
+                        codes.push(0);
+                        0.0
+                    } else {
+                        let k = rng.below(dom.len() as u64) as usize;
+                        codes.push(k as u16);
+                        dom[k]
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (codes, rows)
+}
+
+/// Label `rows` in two blocks through `forest.domain_labeler`, as
+/// `gef_core::generate` does.
+fn label_in_blocks(
+    forest: &Forest,
+    domains: &[Vec<f64>],
+    codes: &[u16],
+    rows: &[Vec<f64>],
+    scale: LabelScale,
+) -> (Vec<f64>, u64, bool) {
+    let labeler = forest.domain_labeler(domains, rows.len(), scale);
+    let nf = forest.num_features;
+    let cut = rows.len() / 3;
+    let mut out = vec![0.0; rows.len()];
+    let (head, tail) = out.split_at_mut(cut);
+    let mut visits = labeler
+        .label(&codes[..cut * nf], &rows[..cut], head)
+        .expect("no deadline armed");
+    visits += labeler
+        .label(&codes[cut * nf..], &rows[cut..], tail)
+        .expect("no deadline armed");
+    (out, visits, labeler.uses_codes())
+}
+
+/// Labels read from domain codes equal `predict_batch` on the
+/// materialized rows and the walker, bit for bit, on every scale and
+/// with the walker's visit counts: QuickScorer forests (≤ 32 leaves)
+/// and descent forests (64-leaf trees), shared thresholds, domain
+/// values on, between, below and above them, empty and one-value
+/// domains, at threads 1 and 4 (64+ trees × 4,096 rows, so the pool
+/// path runs).
+#[test]
+fn code_labels_match_rows_and_walker() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed(case);
+        let d = 4;
+        let wide = case % 2 == 1;
+        let n_trees = 64 + rng.below(6);
+        let trees: Vec<Tree> = (0..n_trees)
+            .map(|t| {
+                pooled_tree(
+                    &mut rng,
+                    d,
+                    if wide && t == 0 { 6 } else { 4 },
+                    wide && t == 0,
+                )
+            })
+            .collect();
+        let objective = if rng.below(2) == 1 {
+            Objective::BinaryLogistic
+        } else {
+            Objective::RegressionL2
+        };
+        let forest = Forest::new(trees, 0.125, 1.0, objective, d);
+        let domains = pooled_domains(&mut rng, d);
+        let n_rows = 4096 + rng.below(40) as usize;
+        let (codes, rows) = coded_rows(&mut rng, &domains, n_rows);
+
+        let mut want_visits = 0u64;
+        let mut want_raw = Vec::with_capacity(rows.len());
+        for x in &rows {
+            let (raw, n) = forest.predict_raw_counted(x);
+            want_visits += n;
+            want_raw.push(raw);
+        }
+        let want_resp: Vec<f64> = want_raw.iter().map(|&r| objective.transform(r)).collect();
+        assert_eq!(bits(&forest.predict_raw_batch(&rows)), bits(&want_raw));
+        with_thread_control(|| {
+            for t in [1, 4] {
+                gef_par::set_threads(t);
+                let by_rows = forest.predict_batch(&rows).expect("no deadline armed");
+                assert_eq!(bits(&by_rows), bits(&want_resp), "case {case}: threads={t}");
+                for (scale, want) in [
+                    (LabelScale::Raw, &want_raw),
+                    (LabelScale::Response, &want_resp),
+                    (LabelScale::Counted, &want_resp),
+                ] {
+                    let (got, visits, coded) =
+                        label_in_blocks(&forest, &domains, &codes, &rows, scale);
+                    assert!(coded, "case {case}: code path not taken");
+                    assert_eq!(bits(&got), bits(want), "case {case}: {scale:?} threads={t}");
+                    let want_visits = if scale == LabelScale::Counted {
+                        want_visits
+                    } else {
+                        0
+                    };
+                    assert_eq!(visits, want_visits, "case {case}: {scale:?} threads={t}");
+                }
+            }
+        });
+        let flat = forest.flattened().expect("valid forest flattens");
+        assert_eq!(
+            flat.max_depth() >= 6,
+            wide,
+            "case {case}: descent forest expected"
+        );
+    }
+}
+
+/// A domain too large for a `u16` code sends the whole `D*` down the
+/// rows path, with identical labels; 65,536 values still fit.
+#[test]
+fn domains_past_u16_label_from_rows() {
+    let mut rng = Rng::seed(99);
+    let trees: Vec<Tree> = (0..8).map(|_| pooled_tree(&mut rng, 2, 4, false)).collect();
+    let forest = Forest::new(trees, 0.0, 1.0, Objective::RegressionL2, 2);
+    for (size, coded) in [(1usize << 16, true), ((1 << 16) + 1, false)] {
+        let big: Vec<f64> = (0..size)
+            .map(|k| k as f64 / size as f64 * 4.0 - 2.0)
+            .collect();
+        let domains = vec![big, vec![-0.5, 0.5]];
+        let rows: Vec<Vec<f64>> = (0..3000)
+            .map(|_| {
+                domains
+                    .iter()
+                    .map(|dom| dom[rng.below(dom.len() as u64) as usize])
+                    .collect()
+            })
+            .collect();
+        let labeler = forest.domain_labeler(&domains, rows.len(), LabelScale::Response);
+        assert_eq!(labeler.uses_codes(), coded, "{size} values");
+        let codes: Vec<u16> = if coded {
+            rows.iter()
+                .zip(std::iter::repeat(&domains))
+                .flat_map(|(x, doms)| {
+                    x.iter()
+                        .zip(doms)
+                        .map(|(v, dom)| dom.iter().position(|d| d == v).unwrap() as u16)
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut got = vec![0.0; rows.len()];
+        labeler
+            .label(&codes, &rows, &mut got)
+            .expect("no deadline armed");
+        assert_eq!(bits(&got), bits(&walker_response(&forest, &rows)), "{size}");
+        assert!(
+            forest.layout_cached(),
+            "{size}: rows path still rides the kernel"
+        );
+    }
 }

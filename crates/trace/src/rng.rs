@@ -64,18 +64,26 @@ impl Rng {
 
     /// Unbiased uniform integer in `0..n` (Lemire's multiply-shift with
     /// rejection). `below(0)` draws nothing and returns 0.
+    ///
+    /// A draw is rejected when the low word of `x·n` falls below
+    /// `zone = 2^64 mod n`. Since `zone < n`, a low word of at least `n`
+    /// is accepted without knowing `zone`, so the division that computes
+    /// it runs only on the rare draw whose low word is below `n`
+    /// (Lemire 2019). Every accept or reject decision is the one the
+    /// always-divide form makes, so the stream is unchanged.
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;
         }
-        let zone = n.wrapping_neg() % n;
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(n);
-            if (m as u64) >= zone {
-                return (m >> 64) as u64;
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            let zone = n.wrapping_neg() % n;
+            while (m as u64) < zone {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        (m >> 64) as u64
     }
 
     /// In-place Fisher–Yates shuffle.
@@ -109,6 +117,43 @@ mod tests {
             assert_eq!(r.next_u64(), word, "seed {seed}: next_u64");
             assert_eq!(r.unit().to_bits(), unit_bits, "seed {seed}: unit");
             assert_eq!(r.below(10), below10, "seed {seed}: below(10)");
+        }
+    }
+
+    /// `below` as first written: the rejection zone computed by a
+    /// division on every call.
+    fn below_dividing(rng: &mut Rng, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let zone = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Skipping the division must not change a single draw: small,
+    /// near-2^63 and near-2^64 bounds (where rejection is likeliest)
+    /// and random odd bounds, over 200 seeds.
+    #[test]
+    fn divisionless_below_matches_the_dividing_form() {
+        for seed in 0..200u64 {
+            let mut new = Rng::seed(seed);
+            let mut old = Rng::seed(seed);
+            let mut odd = Rng::seed(seed ^ 0x5eed);
+            for k in 0..5_000u64 {
+                let bounds = [1, 3, k + 1, (1 << 63) + k, u64::MAX - k, odd.next_u64() | 1];
+                for n in bounds {
+                    assert_eq!(
+                        new.below(n),
+                        below_dividing(&mut old, n),
+                        "seed {seed}, draw {k}, n {n}"
+                    );
+                }
+            }
         }
     }
 

@@ -11,6 +11,7 @@
 //! `gef_par::set_threads` is process-global, so every test serialises
 //! behind one mutex and restores `threads = 1` on exit.
 
+use gef::core::generate::generate;
 use gef::data::synthetic::{make_d_prime, NUM_FEATURES};
 use gef::gam::fit;
 use gef::par;
@@ -85,6 +86,22 @@ fn dstar_labeling_is_bit_identical_across_thread_counts() {
         let parallel = at_threads(4, || forest.predict_batch(&data.xs).unwrap());
         assert_eq!(bits(&serial), bits(&reference));
         assert_eq!(bits(&parallel), bits(&reference));
+
+        // D* itself: 8,000 rows × 80 trees run on the pool at 4 threads,
+        // labelled block by block from domain codes.
+        let profile = gef::core::selection::ForestProfile::analyze(&forest);
+        let domains =
+            gef::core::generate::build_domains(&profile, &[0, 1, 2], SamplingStrategy::EquiSize(8))
+                .unwrap();
+        assert!(forest
+            .domain_labeler(&domains, 8_000, gef::forest::LabelScale::Response)
+            .uses_codes());
+        let dstar = |t| at_threads(t, || generate(&forest, &domains, 8_000, false, 21).unwrap());
+        let (one, four) = (dstar(1), dstar(4));
+        assert_eq!(one.xs, four.xs);
+        assert_eq!(bits(&one.ys), bits(&four.ys));
+        let reference: Vec<f64> = one.xs.iter().map(|x| forest.predict(x)).collect();
+        assert_eq!(bits(&one.ys), bits(&reference));
     });
 }
 
