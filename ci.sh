@@ -83,9 +83,13 @@ step "telemetry determinism (xp_regress t1 vs t4)" \
 
 # Allocation tracking (gef-trace's alloc-track feature): its one test
 # runs under the tracking global allocator, and xp_regress must still
-# build with the allocator installed.
+# build with the allocator installed. dstar_alloc pins that `generate`
+# keeps D* as domain codes: a fixed number of allocations however many
+# rows it draws, and about two bytes a cell, not a Vec<f64> per row.
 step "alloc-track (tracking allocator test)" \
     cargo test -q -p gef-trace --features alloc-track --test alloc_track
+step "alloc-track (D* allocation guard)" \
+    cargo test -q --features alloc-track --test dstar_alloc
 step "alloc-track (xp_regress build)" \
     cargo build --release -q -p gef-bench --features alloc-track --bin xp_regress
 

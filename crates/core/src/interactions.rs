@@ -15,7 +15,7 @@
 //!   (the only data-driven strategy, and the expensive one:
 //!   `O(N·|F'|²)` forest evaluations versus `O(|T|)` for the others).
 
-use crate::generate::SyntheticDataset;
+use crate::generate::CodedDataset;
 use crate::selection::ForestProfile;
 use crate::{GefError, Result};
 use gef_forest::{Forest, Tree};
@@ -67,7 +67,7 @@ pub fn rank_interactions(
     profile: &ForestProfile,
     selected: &[usize],
     strategy: InteractionStrategy,
-    data: Option<&SyntheticDataset>,
+    data: Option<&CodedDataset>,
 ) -> Result<Vec<((usize, usize), f64)>> {
     if selected.len() < 2 {
         return Ok(Vec::new());
@@ -189,17 +189,19 @@ fn accumulate_tree(
 fn h_stat_scores(
     forest: &Forest,
     selected: &[usize],
-    data: &SyntheticDataset,
+    data: &CodedDataset,
     eval_points: usize,
     background: usize,
 ) -> Vec<((usize, usize), f64)> {
     let n = data.len();
     let e = eval_points.clamp(1, n);
     let b = background.clamp(1, n);
-    let eval: &[Vec<f64>] = &data.xs[..e];
+    // Only the eval and background rows are materialized.
+    let eval = data.rows(0..e);
     // Use the tail of the dataset as background (disjoint when large
     // enough, harmlessly overlapping otherwise).
-    let bg: &[Vec<f64>] = &data.xs[n - b..];
+    let bg = data.rows(n - b..n);
+    let (eval, bg) = (&eval[..], &bg[..]);
 
     // Univariate PD of each selected feature at the eval points.
     let mut pd_uni: HashMap<usize, Vec<f64>> = HashMap::new();

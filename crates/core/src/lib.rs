@@ -63,7 +63,7 @@ pub mod sampling;
 pub mod selection;
 
 pub use budget::RunBudget;
-pub use generate::SyntheticDataset;
+pub use generate::{CodedDataset, SyntheticDataset};
 pub use interactions::InteractionStrategy;
 pub use pipeline::{
     GefConfig, GefExplainer, GefExplanation, LocalExplanation, Provenance, StageTimings,

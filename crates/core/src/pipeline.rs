@@ -11,7 +11,7 @@
 //! capability the paper contrasts against SHAP and LIME).
 
 use crate::budget::RunBudget;
-use crate::generate::{generate, SyntheticDataset};
+use crate::generate::{generate, CodedDataset, SyntheticDataset};
 use crate::incident::{self, IncidentContext};
 use crate::interactions::{rank_interactions, top_pairs, InteractionStrategy};
 use crate::recovery::{self, fit_with_recovery, Degradation, DegradationAction, FitFloor};
@@ -272,18 +272,26 @@ impl GefExplainer {
 
     /// Run the full pipeline on a forest, using only its structure.
     pub fn explain(&self, forest: &Forest) -> Result<GefExplanation> {
-        let (explanation, _) = self.explain_with_data(forest)?;
+        let (explanation, _) = self.explain_coded(forest)?;
         Ok(explanation)
     }
 
     /// Like [`GefExplainer::explain`] but also returns the generated
-    /// synthetic dataset `D*` (train split first) for inspection.
+    /// synthetic dataset `D*` (train split first) for inspection, its
+    /// rows materialized as feature values.
+    pub fn explain_with_data(&self, forest: &Forest) -> Result<(GefExplanation, SyntheticDataset)> {
+        let (explanation, dstar) = self.explain_coded(forest)?;
+        Ok((explanation, dstar.into_rows()))
+    }
+
+    /// The explanation with `D*` as the pipeline keeps it: domain
+    /// codes, labels and domains.
     ///
     /// On any typed failure, an incident dump is written (best-effort;
     /// see [`crate::incident`]) *before* the run budget disarms, so the
     /// dump captures the trip state, the armed fault schedule, and the
     /// flight recorder's last window of activity.
-    pub fn explain_with_data(&self, forest: &Forest) -> Result<(GefExplanation, SyntheticDataset)> {
+    fn explain_coded(&self, forest: &Forest) -> Result<(GefExplanation, CodedDataset)> {
         let ctx = IncidentContext {
             config_digest: Some(self.config.content_digest()),
             forest_digest: Some(forest.content_digest()),
@@ -301,10 +309,10 @@ impl GefExplainer {
         result
     }
 
-    /// The pipeline proper, separated from [`Self::explain_with_data`]
-    /// so its `Err` path can be incident-dumped while the budget guard
-    /// is still armed.
-    fn run_pipeline(&self, forest: &Forest) -> Result<(GefExplanation, SyntheticDataset)> {
+    /// The pipeline proper, separated from [`Self::explain_coded`] so
+    /// its `Err` path can be incident-dumped while the budget guard is
+    /// still armed.
+    fn run_pipeline(&self, forest: &Forest) -> Result<(GefExplanation, CodedDataset)> {
         let cfg = &self.config;
         cfg.validate()?;
         let _span = gef_trace::Span::enter("pipeline.explain");
@@ -532,20 +540,15 @@ impl GefExplainer {
                     );
                 }
                 // Train on D*'s first rows and score on the rest, as
-                // `split` would, on slices rather than copies.
+                // `split` would, reading the codes in place.
                 let cut = dataset.train_rows(cfg.train_fraction);
-                let (xs, ys) = (&dataset.xs, &dataset.ys);
                 // Fit with the degradation ladder: numerical failures
                 // walk the spec down (drop worst tensor → shrink bases →
                 // widen λ grid → univariate-only → linear surrogate)
                 // instead of failing the whole pipeline. Fidelity of Γ
                 // vs the forest on held-out D* comes back with the fit.
-                let (gam, fidelity_rmse, fidelity_r2) = fit_with_recovery(
-                    &spec,
-                    (&xs[..cut], &ys[..cut]),
-                    (&xs[cut..], &ys[cut..]),
-                    &mut degradations,
-                )?;
+                let (gam, fidelity_rmse, fidelity_r2) =
+                    fit_with_recovery(&spec, &dataset, cut, &mut degradations)?;
                 Ok((gam, categorical, fidelity_rmse, fidelity_r2))
             },
         )?;
@@ -956,6 +959,54 @@ mod tests {
         );
         // A linear surrogate of a linear forest is still faithful.
         assert!(exp.fidelity_r2 > 0.8, "r2={}", exp.fidelity_r2);
+    }
+
+    /// `explain` fits on the coded `D*`; `explain_with_data` hands the
+    /// same `D*` back as rows. Both give the same GAM, the rows re-label
+    /// to the labels, and `gef_gam::fit` on the rows reproduces the GAM,
+    /// for a regression forest with a tensor term and for a classifier.
+    #[test]
+    fn explain_and_explain_with_data_agree() {
+        let cases = [
+            (
+                make_forest(|x| 4.0 * x[0] * x[1] + x[2], 3, Objective::RegressionL2),
+                1,
+            ),
+            (
+                make_forest(
+                    |x| f64::from(x[0] + x[1] > 1.0),
+                    2,
+                    Objective::BinaryLogistic,
+                ),
+                0,
+            ),
+        ];
+        for (forest, num_interactions) in cases {
+            let cfg = GefConfig {
+                num_univariate: forest.num_features,
+                num_interactions,
+                n_samples: 3000,
+                ..Default::default()
+            };
+            let explainer = GefExplainer::new(cfg.clone());
+            let coded = explainer.explain(&forest).unwrap();
+            let (exp, dstar) = explainer.explain_with_data(&forest).unwrap();
+            assert_eq!(coded.provenance.gam_digest, exp.provenance.gam_digest);
+            assert_eq!(exp.gam.num_terms(), forest.num_features + num_interactions);
+            assert_eq!(dstar.len(), 3000);
+            let labels = forest.predict_batch(&dstar.xs).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&labels), bits(&dstar.ys));
+            let spec = GamSpec {
+                terms: exp.gam.term_specs().to_vec(),
+                link: exp.gam.link(),
+                lambda: cfg.lambda.clone(),
+                ..GamSpec::regression(Vec::new())
+            };
+            let (train, _) = dstar.split(cfg.train_fraction);
+            let refit = gef_gam::fit(&spec, &train.xs, &train.ys).unwrap();
+            assert_eq!(refit.content_digest(), exp.gam.content_digest());
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! fault-injection tests can make exactly the first *r* rungs fail with
 //! `Trigger::StageBelow(r)`.
 
+use crate::generate::CodedDataset;
 use crate::{GefError, Result};
 use gef_data::metrics;
-use gef_gam::{fit, Gam, GamSpec, LambdaSelection, TermSpec};
+use gef_gam::{Gam, GamSpec, LambdaSelection, TermSpec};
 use gef_trace::json::{JsonValue, JsonWriter, ReadJson, WriteJson};
 
 /// A **preemptive** lower bound on the surrogate's complexity: where
@@ -415,16 +416,16 @@ enum AttemptFailure {
     Retryable(String),
 }
 
-/// One fit attempt: fit on the train split, score fidelity on the test
-/// split with the checked metrics, and fail retryably when the score is
-/// not a real number.
+/// One fit attempt: fit on `D*`'s rows before `cut`, score fidelity on
+/// the rest with the checked metrics, and fail retryably when the score
+/// is not a real number.
 fn attempt(
     spec: &GamSpec,
-    train: (&[Vec<f64>], &[f64]),
-    test: (&[Vec<f64>], &[f64]),
+    dstar: &CodedDataset,
+    cut: usize,
 ) -> std::result::Result<(Gam, f64, f64), AttemptFailure> {
     use gef_gam::GamError;
-    let gam = match fit(spec, train.0, train.1) {
+    let gam = match dstar.fit_gam(spec, 0..cut) {
         Ok(g) => g,
         Err(e @ (GamError::DeadlineExceeded { .. } | GamError::WorkerPanicked(_))) => {
             return Err(AttemptFailure::Fatal(e.into()))
@@ -436,12 +437,13 @@ fn attempt(
             ))))
         }
     };
-    let preds = gam
-        .predict_batch(test.0)
+    let preds = dstar
+        .predict_gam(&gam, cut..dstar.len())
         .map_err(|e| AttemptFailure::Fatal(e.into()))?;
-    let rmse = metrics::try_rmse(&preds, test.1)
+    let test = &dstar.labels()[cut..];
+    let rmse = metrics::try_rmse(&preds, test)
         .map_err(|e| AttemptFailure::Retryable(format!("non-finite fidelity: {e}")))?;
-    let r2 = metrics::try_r2(&preds, test.1)
+    let r2 = metrics::try_r2(&preds, test)
         .map_err(|e| AttemptFailure::Retryable(format!("non-finite fidelity: {e}")))?;
     Ok((gam, rmse, r2))
 }
@@ -495,16 +497,18 @@ fn next_rung(current: &GamSpec, rung: &mut usize) -> Option<(GamSpec, Degradatio
     }
 }
 
-/// Fit `spec`, descending the degradation ladder on retryable failure.
+/// Fit `spec` on `D*`'s rows before `cut`, descending the degradation
+/// ladder on retryable failure.
 ///
-/// On success returns the fitted GAM with its held-out fidelity
-/// `(rmse, r2)`; every rung descended is appended to `degradations`.
-/// Non-retryable errors (bad data, bad spec) abort immediately; an
-/// exhausted ladder returns [`GefError::RecoveryExhausted`].
+/// On success returns the fitted GAM with its fidelity `(rmse, r2)` on
+/// the rows from `cut` on; every rung descended is appended to
+/// `degradations`. Non-retryable errors (bad data, bad spec) abort
+/// immediately; an exhausted ladder returns
+/// [`GefError::RecoveryExhausted`].
 pub(crate) fn fit_with_recovery(
     spec: &GamSpec,
-    train: (&[Vec<f64>], &[f64]),
-    test: (&[Vec<f64>], &[f64]),
+    dstar: &CodedDataset,
+    cut: usize,
     degradations: &mut Vec<Degradation>,
 ) -> Result<(Gam, f64, f64)> {
     let mut current = spec.clone();
@@ -541,7 +545,7 @@ pub(crate) fn fit_with_recovery(
         }
         gef_trace::fault::set_stage(attempts as u32);
         let _span = gef_trace::Span::enter("pipeline.fit_attempt");
-        match attempt(&current, train, test) {
+        match attempt(&current, dstar, cut) {
             Ok(out) => {
                 gef_trace::fault::set_stage(0);
                 return Ok(out);
@@ -679,22 +683,25 @@ mod tests {
 
     #[test]
     fn clean_fit_records_no_degradations() {
-        let xs: Vec<Vec<f64>> = (0..400)
-            .map(|i| vec![(i % 31) as f64 / 31.0, (i % 17) as f64 / 17.0])
+        let domains: Vec<Vec<f64>> = [31, 17]
+            .iter()
+            .map(|&k| (0..k).map(|i| i as f64 / k as f64).collect())
             .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 2.0 - x[1]).collect();
+        let codes: Vec<u16> = (0..400u16).flat_map(|i| [i % 31, i % 17]).collect();
+        let ys: Vec<f64> = (0..400)
+            .map(|i| domains[0][i % 31] * 2.0 - domains[1][i % 17])
+            .collect();
+        let dstar = CodedDataset {
+            codes: crate::generate::Codes::U16(codes),
+            ys,
+            domains,
+        };
         let spec = GamSpec::regression(vec![
             TermSpec::spline(0, (0.0, 1.0)),
             TermSpec::spline(1, (0.0, 1.0)),
         ]);
         let mut degradations = Vec::new();
-        let (gam, rmse, r2) = fit_with_recovery(
-            &spec,
-            (&xs[..300], &ys[..300]),
-            (&xs[300..], &ys[300..]),
-            &mut degradations,
-        )
-        .unwrap();
+        let (gam, rmse, r2) = fit_with_recovery(&spec, &dstar, 300, &mut degradations).unwrap();
         assert!(degradations.is_empty());
         assert!(rmse.is_finite() && r2.is_finite());
         assert!(gam.num_terms() == 2);

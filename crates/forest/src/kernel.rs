@@ -210,11 +210,36 @@ pub(crate) fn chunk<S: Ranks>(
     out: &mut [f64],
     scale: LabelScale,
 ) -> u64 {
-    match scale {
-        LabelScale::Raw => chunk_impl::<false, false, S>(flat, src, start, out),
-        LabelScale::Response => chunk_impl::<true, false, S>(flat, src, start, out),
-        LabelScale::Counted => chunk_impl::<true, true, S>(flat, src, start, out),
-    }
+    SCRATCH.with_borrow_mut(|scratch| match scale {
+        LabelScale::Raw => chunk_impl::<false, false, S>(flat, src, start, out, scratch),
+        LabelScale::Response => chunk_impl::<true, false, S>(flat, src, start, out, scratch),
+        LabelScale::Counted => chunk_impl::<true, true, S>(flat, src, start, out, scratch),
+    })
+}
+
+/// The kernel's working arrays, kept per thread and reused by every
+/// chunk the thread labels, so a pool region over 64 chunks allocates
+/// once per worker rather than once per chunk. Every array is refilled
+/// before it is read.
+#[derive(Default)]
+struct Scratch {
+    /// Descent: the row block's feature ranks, `xr[r · nf + f]`.
+    xr: Vec<u32>,
+    /// QuickScorer: the sub-block's cutoff lanes, feature-major.
+    cutt: Vec<[i32; QS_SUB]>,
+    /// QuickScorer: the sub-block's leaf bitvectors, tree-major.
+    bv: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// `v` resized to `len`, every element `fill`.
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) -> &mut [T] {
+    v.clear();
+    v.resize(len, fill);
+    v
 }
 
 /// Rank of `x` in a sorted threshold table: `#{t : t < x}`, so
@@ -266,10 +291,6 @@ impl Ranks for Rows<'_> {
     }
 }
 
-/// Largest sampling domain the code path takes: a `u16` code holds
-/// indices `0..=65_535`.
-pub const MAX_CODED_DOMAIN: usize = 1 << 16;
-
 /// Per-feature code→rank tables for one layout and one set of sampling
 /// domains: `ranks[f][k]` is the rank of `domains[f][k]` in feature
 /// `f`'s table — the QS entry table when the layout has one, else the
@@ -277,20 +298,14 @@ pub const MAX_CODED_DOMAIN: usize = 1 << 16;
 /// value. An empty domain stands for the constant 0.0 at code 0. The
 /// kernel clamps a code's rank just as it clamps a searched one, so
 /// both sources give the same cutoffs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct CodeTables {
     ranks: Vec<Vec<u32>>,
 }
 
 impl CodeTables {
-    /// Tables for `domains` against `flat`, or `None` when a domain
-    /// does not fit a `u16` code or the domains do not cover the
-    /// layout's features one to one.
-    pub(crate) fn build(flat: &FlatForest, domains: &[Vec<f64>]) -> Option<CodeTables> {
-        if domains.len() != flat.num_features || domains.iter().any(|d| d.len() > MAX_CODED_DOMAIN)
-        {
-            return None;
-        }
+    /// Tables for `domains` (one per feature of `flat`) against `flat`.
+    pub(crate) fn build(flat: &FlatForest, domains: &[Vec<f64>]) -> CodeTables {
         let ranks = domains
             .iter()
             .enumerate()
@@ -309,22 +324,45 @@ impl CodeTables {
                 }
             })
             .collect();
-        Some(CodeTables { ranks })
+        CodeTables { ranks }
     }
 }
 
-/// Ranks read from domain codes: row `r`'s feature `f` is domain value
-/// `codes[r · nf + f]`, row-major over the layout's `nf` features.
-pub(crate) struct Codes<'a> {
-    pub(crate) codes: &'a [u16],
+/// Rows given as domain codes: row `r`'s feature `f` is domain value
+/// `codes[r · nf + f]` of `domains[f]`, row-major over the `nf =
+/// domains.len()` features, an empty domain standing for 0.0 at code 0.
+/// The kernel reads each cell's rank from `tables`, which are empty
+/// when the rows are walked instead.
+pub(crate) struct Codes<'a, C> {
+    pub(crate) codes: &'a [C],
+    pub(crate) domains: &'a [Vec<f64>],
     pub(crate) tables: &'a CodeTables,
 }
 
-impl Ranks for Codes<'_> {
+impl<C: Copy + Into<u32>> Codes<'_, C> {
+    #[inline]
+    fn code(&self, r: usize, f: usize) -> usize {
+        self.codes[r * self.domains.len() + f].into() as usize
+    }
+
+    /// Row `r`'s feature values, written into `row`.
+    pub(crate) fn row_into(&self, r: usize, row: &mut Vec<f64>) {
+        row.clear();
+        row.extend(self.domains.iter().enumerate().map(|(f, dom)| {
+            let k = self.code(r, f);
+            if dom.is_empty() && k == 0 {
+                0.0
+            } else {
+                dom[k]
+            }
+        }));
+    }
+}
+
+impl<C: Copy + Into<u32> + Sync> Ranks for Codes<'_, C> {
     #[inline]
     fn rank(&self, r: usize, f: usize, _table: &[f64]) -> u32 {
-        let code = self.codes[r * self.tables.ranks.len() + f];
-        self.tables.ranks[f][usize::from(code)]
+        self.tables.ranks[f][self.code(r, f)]
     }
 }
 
@@ -336,21 +374,22 @@ fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     src: &S,
     start: usize,
     out: &mut [f64],
+    scratch: &mut Scratch,
 ) -> u64 {
     // Forests whose trees all fit a 32-bit leaf mask (the paper trains
     // 32-leaf trees) take the QuickScorer bitvector path: streaming
     // mask ANDs instead of per-node descent. Wider trees descend.
     if let Some(qs) = flat.qs.as_ref() {
-        return qs_impl::<TRANSFORM, COUNTED, S>(flat, qs, src, start, out, qs_simd_available());
+        let simd = qs_simd_available();
+        return qs_impl::<TRANSFORM, COUNTED, S>(flat, qs, src, start, out, scratch, simd);
     }
     let nf = flat.num_features;
     let mut visited = 0u64;
     // Per-block feature-rank table: xr[r * nf + f] is the rank of row
     // r's feature f among that feature's split thresholds (u32::MAX for
     // NaN, which therefore compares false against every node rank and
-    // routes right — the walker's NaN behaviour). One allocation per
-    // chunk, refilled per block.
-    let mut xr = vec![0u32; ROW_BLOCK * nf];
+    // routes right — the walker's NaN behaviour). Refilled per block.
+    let xr = refill(&mut scratch.xr, ROW_BLOCK * nf, 0);
     let mut block_start = 0usize;
     while block_start < out.len() {
         let bn = ROW_BLOCK.min(out.len() - block_start);
@@ -582,17 +621,18 @@ fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     src: &S,
     start: usize,
     out: &mut [f64],
+    scratch: &mut Scratch,
     allow_simd: bool,
 ) -> u64 {
     let nf = flat.num_features;
     let trees = flat.roots.len();
     let mut visited = 0u64;
-    // Sub-block state, allocated once per chunk: feature-major cutoff
+    // Sub-block state, refilled per sub-block: feature-major cutoff
     // lanes (cutt[f][rl]; parked lanes hold 0 and never match) and the
     // transposed per-(tree, row) bitvectors (bv[t * QS_SUB + rl] —
     // tree-major, so one entry's QS_SUB lanes are one contiguous line).
-    let mut cutt = vec![[0i32; QS_SUB]; nf];
-    let mut bv = vec![0u32; trees * QS_SUB];
+    let cutt = refill(&mut scratch.cutt, nf, [0; QS_SUB]);
+    let bv = refill(&mut scratch.bv, trees * QS_SUB, 0);
     let mut sub = 0usize;
     while sub < out.len() {
         let sn = QS_SUB.min(out.len() - sub);
@@ -628,10 +668,10 @@ fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
                 let cmax = cuts.iter().copied().max().unwrap_or(0) as usize;
                 // SAFETY: AVX2 verified by the dispatcher; cmax is the
                 // lane maximum, still <= the feature's entry count.
-                unsafe { qs_apply_avx2(&qs.ent, lo, cmax, cuts, &mut bv) };
+                unsafe { qs_apply_avx2(&qs.ent, lo, cmax, cuts, bv) };
                 continue;
             }
-            qs_apply_scalar(&qs.ent, lo, cuts, &mut bv);
+            qs_apply_scalar(&qs.ent, lo, cuts, bv);
         }
         let mut acc = [0.0f64; QS_SUB];
         for t in 0..trees {
@@ -759,9 +799,12 @@ mod tests {
             .collect();
         for allow_simd in [false, true] {
             let mut raw = vec![0.0; xs.len()];
-            qs_impl::<false, false, _>(&flat, qs, &Rows(&xs), 0, &mut raw, allow_simd);
+            let mut scratch = Scratch::default();
+            let rows = Rows(&xs);
+            qs_impl::<false, false, _>(&flat, qs, &rows, 0, &mut raw, &mut scratch, allow_simd);
             let mut resp = vec![0.0; xs.len()];
-            let visited = qs_impl::<true, true, _>(&flat, qs, &Rows(&xs), 0, &mut resp, allow_simd);
+            let visited =
+                qs_impl::<true, true, _>(&flat, qs, &rows, 0, &mut resp, &mut scratch, allow_simd);
             let mut want_visits = 0u64;
             for (i, x) in xs.iter().enumerate() {
                 let (wraw, n) = forest.predict_raw_counted(x);
@@ -794,7 +837,7 @@ mod tests {
             vec![vec![], vec![-1.0, 0.25, 0.5, 0.75, 0.9, f64::NAN]],
             vec![vec![0.5, 0.49, 2.0], vec![0.25]],
         ] {
-            let tables = CodeTables::build(&flat, &domains).expect("small domains");
+            let tables = CodeTables::build(&flat, &domains);
             let n = 150;
             let mut codes = Vec::new();
             let mut xs = Vec::new();
@@ -816,11 +859,21 @@ mod tests {
             }
             let src = Codes {
                 codes: &codes,
+                domains: &domains,
                 tables: &tables,
             };
             for allow_simd in [false, true] {
                 let mut resp = vec![0.0; n];
-                let visited = qs_impl::<true, true, _>(&flat, qs, &src, 0, &mut resp, allow_simd);
+                let mut scratch = Scratch::default();
+                let visited = qs_impl::<true, true, _>(
+                    &flat,
+                    qs,
+                    &src,
+                    0,
+                    &mut resp,
+                    &mut scratch,
+                    allow_simd,
+                );
                 let mut want_visits = 0u64;
                 for (i, x) in xs.iter().enumerate() {
                     let (wraw, v) = forest.predict_raw_counted(x);

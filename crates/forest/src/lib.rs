@@ -293,23 +293,23 @@ impl Forest {
     /// [`Forest::predict_batch`] on any label scale.
     fn predict_batch_on(&self, xs: &[Vec<f64>], scale: LabelScale) -> Result<(Vec<f64>, u64)> {
         let mut out = vec![0.0; xs.len()];
-        let visited = LabelPlan::new(self, xs.len(), None, scale).run(&[], xs, &mut out)?;
+        let visited = LabelPlan::new(self, xs.len(), scale).run(&kernel::Rows(xs), &mut out)?;
         Ok((out, visited))
     }
 
     /// A labelling plan for a `D*` of `n_rows` rows whose cells are
     /// drawn from `domains` (one per feature; an empty domain stands
     /// for the constant 0.0). The caller labels `D*` one block of rows
-    /// at a time with [`DomainLabeler::label`], passing each block both
-    /// as domain codes and as materialized rows.
+    /// at a time with [`DomainLabeler::label`], passing each block as
+    /// domain codes.
     ///
-    /// The plan is fixed here, once per `D*`: the kernel reads each
-    /// cell's rank from a per-feature code table (built now, against
-    /// the layout's own threshold tables) when [`Forest::predict_batch`]
-    /// would take the kernel for `n_rows` rows and every domain fits a
-    /// `u16` code ([`kernel::MAX_CODED_DOMAIN`] values at most);
-    /// otherwise each block takes `predict_batch`'s path on its rows.
-    /// Serial or pool is `predict_batch`'s rule for `n_rows`. Every
+    /// The plan is fixed here, once per `D*`, by
+    /// [`Forest::predict_batch`]'s rule for `n_rows` rows: the kernel
+    /// when the layout is valid, no fault is armed and the batch clears
+    /// the kernel floor, serial or pool by its size. The kernel then
+    /// reads each cell's rank from a per-feature code table, built now
+    /// against the layout's own threshold tables; otherwise the walker
+    /// labels one row at a time, materialized from its codes. Every
     /// route labels bit-identically to the walker.
     ///
     /// ```
@@ -328,18 +328,29 @@ impl Forest {
     /// let labeler = forest.domain_labeler(&domains, 64, LabelScale::Response);
     /// assert!(labeler.uses_codes());
     /// let codes: Vec<u16> = (0..64).map(|i| (i % 3) as u16).collect();
-    /// let rows: Vec<Vec<f64>> = codes.iter().map(|&k| vec![domains[0][k as usize]]).collect();
     /// let mut labels = vec![0.0; 64];
-    /// labeler.label(&codes, &rows, &mut labels).unwrap();
+    /// labeler.label(&codes, &mut labels).unwrap();
+    /// let rows: Vec<Vec<f64>> = codes.iter().map(|&k| vec![domains[0][k as usize]]).collect();
     /// assert_eq!(labels, forest.predict_batch(&rows).unwrap());
     /// ```
-    pub fn domain_labeler(
-        &self,
-        domains: &[Vec<f64>],
+    pub fn domain_labeler<'a>(
+        &'a self,
+        domains: &'a [Vec<f64>],
         n_rows: usize,
         scale: LabelScale,
-    ) -> DomainLabeler<'_> {
-        DomainLabeler(LabelPlan::new(self, n_rows, Some(domains), scale))
+    ) -> DomainLabeler<'a> {
+        let plan = LabelPlan::new(self, n_rows, scale);
+        let tables = match &plan.kernel {
+            Some(flat) if domains.len() == flat.num_features => {
+                kernel::CodeTables::build(flat, domains)
+            }
+            _ => kernel::CodeTables::default(),
+        };
+        DomainLabeler {
+            plan,
+            domains,
+            tables,
+        }
     }
 
     /// Total number of nodes (internal + leaves) across all trees.
@@ -398,21 +409,35 @@ pub enum LabelScale {
     Counted,
 }
 
-/// How a plan labels rows.
-enum Route {
-    /// The per-row recursive walker.
-    Walker,
-    /// The kernel, ranking the materialized `f64` rows.
-    Rows(Arc<FlatForest>),
-    /// The kernel, reading ranks from domain-code tables.
-    Codes(Arc<FlatForest>, kernel::CodeTables),
+/// Cells a plan labels: the kernel reads their ranks, the walker one
+/// row at a time.
+trait Cells: kernel::Ranks {
+    /// Row `r`'s feature values, in `scratch` if they must be
+    /// materialized.
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut Vec<f64>) -> &'s [f64];
 }
 
-/// A route, a scale and the serial-or-pool choice, fixed for a batch
-/// or for a whole `D*`.
+impl Cells for kernel::Rows<'_> {
+    #[inline]
+    fn row<'s>(&'s self, r: usize, _: &'s mut Vec<f64>) -> &'s [f64] {
+        &self.0[r]
+    }
+}
+
+impl<C: Copy + Into<u32> + Sync> Cells for kernel::Codes<'_, C> {
+    #[inline]
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut Vec<f64>) -> &'s [f64] {
+        self.row_into(r, scratch);
+        scratch
+    }
+}
+
+/// The kernel-or-walker route, a scale and the serial-or-pool choice,
+/// fixed for a batch or for a whole `D*`.
 struct LabelPlan<'a> {
     forest: &'a Forest,
-    route: Route,
+    /// The layout the kernel runs on; `None` walks.
+    kernel: Option<Arc<FlatForest>>,
     parallel: bool,
     scale: LabelScale,
 }
@@ -421,54 +446,41 @@ impl<'a> LabelPlan<'a> {
     /// [`Forest::predict_batch`]'s plan for `n_rows` rows: the kernel
     /// when the layout is valid, no fault is armed and the batch clears
     /// the kernel floor, else the walker; the pool when the batch is
-    /// large enough. With `domains`, the kernel reads code tables
-    /// instead of the rows whenever every domain fits a `u16` code.
-    fn new(
-        forest: &'a Forest,
-        n_rows: usize,
-        domains: Option<&[Vec<f64>]>,
-        scale: LabelScale,
-    ) -> LabelPlan<'a> {
-        let route = match forest.kernel_layout(n_rows) {
-            Some(flat) => match domains.and_then(|d| kernel::CodeTables::build(&flat, d)) {
-                Some(tables) => Route::Codes(flat, tables),
-                None => Route::Rows(flat),
-            },
-            None => Route::Walker,
-        };
+    /// large enough.
+    fn new(forest: &'a Forest, n_rows: usize, scale: LabelScale) -> LabelPlan<'a> {
         LabelPlan {
             forest,
-            route,
+            kernel: forest.kernel_layout(n_rows),
             parallel: forest.batch_is_parallel(n_rows),
             scale,
         }
     }
 
-    /// Label every row into `out` (`codes` is read only on the code
-    /// route): serial stripes of [`KERNEL_STRIPE_ROWS`] rows with a
-    /// hard-deadline check before each, or fixed chunks on the pool.
-    /// Returns the node-visit total for [`LabelScale::Counted`].
-    fn run(&self, codes: &[u16], xs: &[Vec<f64>], out: &mut [f64]) -> Result<u64> {
+    /// Label every row of `cells` into `out`: serial stripes of
+    /// [`KERNEL_STRIPE_ROWS`] rows with a hard-deadline check before
+    /// each, or fixed chunks on the pool. Returns the node-visit total
+    /// for [`LabelScale::Counted`].
+    fn run<S: Cells>(&self, cells: &S, out: &mut [f64]) -> Result<u64> {
         if !self.parallel {
             let mut visited = 0u64;
             for (start, end) in stripes(out.len()) {
                 if gef_trace::budget::hard_exceeded() {
                     return Err(ForestError::DeadlineExceeded { at: "predict" });
                 }
-                visited += self.span(codes, xs, start, &mut out[start..end]);
+                visited += self.span(cells, start, &mut out[start..end]);
             }
             return Ok(visited);
         }
-        let label = match self.route {
-            Route::Walker => "forest.predict_batch",
-            _ => "forest.kernel",
+        let label = match self.kernel {
+            None => "forest.predict_batch",
+            Some(_) => "forest.kernel",
         };
         let visited = std::sync::atomic::AtomicU64::new(0);
         gef_par::for_each_chunk_mut(
             out,
             gef_par::Options::coarse().with_label(label),
             |_, start, chunk| {
-                let local = self.span(codes, xs, start, chunk);
+                let local = self.span(cells, start, chunk);
                 visited.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
             },
         )?;
@@ -476,73 +488,79 @@ impl<'a> LabelPlan<'a> {
     }
 
     /// Label rows `start..start + out.len()` on this thread.
-    fn span(&self, codes: &[u16], xs: &[Vec<f64>], start: usize, out: &mut [f64]) -> u64 {
-        match &self.route {
-            Route::Rows(flat) => kernel::chunk(flat, &kernel::Rows(xs), start, out, self.scale),
-            Route::Codes(flat, tables) => {
-                let src = kernel::Codes { codes, tables };
-                kernel::chunk(flat, &src, start, out, self.scale)
-            }
-            Route::Walker => {
-                let forest = self.forest;
-                let mut visited = 0u64;
-                for (o, x) in out.iter_mut().zip(&xs[start..]) {
-                    *o = match self.scale {
-                        LabelScale::Raw => forest.predict_raw(x),
-                        LabelScale::Response => forest.predict(x),
-                        LabelScale::Counted => {
-                            let (raw, n) = forest.predict_raw_counted(x);
-                            visited += n;
-                            forest.objective.transform(raw)
-                        }
-                    };
-                }
-                visited
-            }
+    fn span<S: Cells>(&self, cells: &S, start: usize, out: &mut [f64]) -> u64 {
+        if let Some(flat) = &self.kernel {
+            return kernel::chunk(flat, cells, start, out, self.scale);
         }
+        let forest = self.forest;
+        let mut visited = 0u64;
+        let mut scratch = Vec::new();
+        for (r, o) in (start..).zip(out.iter_mut()) {
+            let x = cells.row(r, &mut scratch);
+            *o = match self.scale {
+                LabelScale::Raw => forest.predict_raw(x),
+                LabelScale::Response => forest.predict(x),
+                LabelScale::Counted => {
+                    let (raw, n) = forest.predict_raw_counted(x);
+                    visited += n;
+                    forest.objective.transform(raw)
+                }
+            };
+        }
+        visited
     }
 }
 
 /// Labels one `D*` block by block along a plan fixed once per `D*`
 /// (see [`Forest::domain_labeler`]).
-pub struct DomainLabeler<'a>(LabelPlan<'a>);
+pub struct DomainLabeler<'a> {
+    plan: LabelPlan<'a>,
+    domains: &'a [Vec<f64>],
+    /// Code→rank tables on the kernel route; empty on the walker's.
+    tables: kernel::CodeTables,
+}
 
 impl DomainLabeler<'_> {
-    /// Whether blocks are labelled from their domain codes (rather than
-    /// from their materialized rows).
+    /// Whether the kernel labels blocks from code tables (rather than
+    /// the walker, on rows materialized from the codes).
     pub fn uses_codes(&self) -> bool {
-        matches!(self.0.route, Route::Codes(..))
+        self.plan.kernel.is_some()
     }
 
     /// Label one block into `out` on the labeler's scale and return the
     /// walker-equivalent node visits ([`LabelScale::Counted`]; 0
-    /// otherwise). `codes` holds the block row-major, `rows.len() ×
-    /// num_features` domain indices; `rows` holds the same block as
-    /// feature values. Only the route's own input is read, so `codes`
-    /// may be empty when the labeler [`uses_codes`](Self::uses_codes)
-    /// is false.
+    /// otherwise). `codes` holds the block row-major, `out.len() ×
+    /// num_features` domain indices, `u16` or `u32`.
     ///
     /// # Errors
-    /// [`ForestError::InvalidData`] when `out` and `rows` differ in
-    /// length or the code route gets the wrong number of codes;
-    /// [`ForestError::DeadlineExceeded`] and
+    /// [`ForestError::InvalidData`] when the labeler's domains do not
+    /// match the forest's features one to one or `codes` is not
+    /// `out.len()` rows of them; [`ForestError::DeadlineExceeded`] and
     /// [`ForestError::WorkerPanicked`] as in [`Forest::predict_batch`].
     ///
     /// # Panics
-    /// On the code route, if a code is outside its feature's domain;
-    /// on the row routes, if a row is narrower than the forest (as
-    /// [`Forest::predict_batch`] does).
-    pub fn label(&self, codes: &[u16], rows: &[Vec<f64>], out: &mut [f64]) -> Result<u64> {
-        let nf = self.0.forest.num_features;
-        if out.len() != rows.len() || (self.uses_codes() && codes.len() != rows.len() * nf) {
+    /// If a code is outside its feature's domain.
+    pub fn label<C: Copy + Into<u32> + Sync>(&self, codes: &[C], out: &mut [f64]) -> Result<u64> {
+        let nf = self.plan.forest.num_features;
+        if self.domains.len() != nf {
             return Err(ForestError::InvalidData(format!(
-                "a block of {} labels, {} rows and {} codes over {nf} features",
+                "{} sampling domains for a forest of {nf} features",
+                self.domains.len()
+            )));
+        }
+        if Some(codes.len()) != out.len().checked_mul(nf) {
+            return Err(ForestError::InvalidData(format!(
+                "a block of {} labels and {} codes over {nf} features",
                 out.len(),
-                rows.len(),
                 codes.len()
             )));
         }
-        self.0.run(codes, rows, out)
+        let cells = kernel::Codes {
+            codes,
+            domains: self.domains,
+            tables: &self.tables,
+        };
+        self.plan.run(&cells, out)
     }
 }
 

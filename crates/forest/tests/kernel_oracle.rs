@@ -14,7 +14,7 @@
 //! `CASES` inputs drawn from `Rng::seed(case)`; a failure names its
 //! case seed.
 
-use gef_forest::{Forest, GbdtParams, GbdtTrainer, LabelScale, Node, Objective, Tree};
+use gef_forest::{Forest, ForestError, GbdtParams, GbdtTrainer, LabelScale, Node, Objective, Tree};
 use gef_trace::rng::Rng;
 use std::sync::Mutex;
 
@@ -447,25 +447,25 @@ fn coded_rows(rng: &mut Rng, domains: &[Vec<f64>], n: usize) -> (Vec<u16>, Vec<V
     (codes, rows)
 }
 
-/// Label `rows` in two blocks through `forest.domain_labeler`, as
-/// `gef_core::generate` does.
-fn label_in_blocks(
+/// Label the `n` rows of `codes` in two blocks through
+/// `forest.domain_labeler`, as `gef_core::generate` does.
+fn label_in_blocks<C: Copy + Into<u32> + Sync>(
     forest: &Forest,
     domains: &[Vec<f64>],
-    codes: &[u16],
-    rows: &[Vec<f64>],
+    codes: &[C],
     scale: LabelScale,
 ) -> (Vec<f64>, u64, bool) {
-    let labeler = forest.domain_labeler(domains, rows.len(), scale);
     let nf = forest.num_features;
-    let cut = rows.len() / 3;
-    let mut out = vec![0.0; rows.len()];
+    let n = codes.len() / nf;
+    let labeler = forest.domain_labeler(domains, n, scale);
+    let cut = n / 3;
+    let mut out = vec![0.0; n];
     let (head, tail) = out.split_at_mut(cut);
     let mut visits = labeler
-        .label(&codes[..cut * nf], &rows[..cut], head)
+        .label(&codes[..cut * nf], head)
         .expect("no deadline armed");
     visits += labeler
-        .label(&codes[cut * nf..], &rows[cut..], tail)
+        .label(&codes[cut * nf..], tail)
         .expect("no deadline armed");
     (out, visits, labeler.uses_codes())
 }
@@ -476,7 +476,8 @@ fn label_in_blocks(
 /// and descent forests (64-leaf trees), shared thresholds, domain
 /// values on, between, below and above them, empty and one-value
 /// domains, at threads 1 and 4 (64+ trees × 4,096 rows, so the pool
-/// path runs).
+/// path runs). A `D*` below the kernel floor takes the walker on rows
+/// materialized from its codes, with the same labels.
 #[test]
 fn code_labels_match_rows_and_walker() {
     for case in 0..CASES {
@@ -504,11 +505,11 @@ fn code_labels_match_rows_and_walker() {
         let n_rows = 4096 + rng.below(40) as usize;
         let (codes, rows) = coded_rows(&mut rng, &domains, n_rows);
 
-        let mut want_visits = 0u64;
+        let mut row_visits = Vec::with_capacity(rows.len());
         let mut want_raw = Vec::with_capacity(rows.len());
         for x in &rows {
             let (raw, n) = forest.predict_raw_counted(x);
-            want_visits += n;
+            row_visits.push(n);
             want_raw.push(raw);
         }
         let want_resp: Vec<f64> = want_raw.iter().map(|&r| objective.transform(r)).collect();
@@ -523,16 +524,29 @@ fn code_labels_match_rows_and_walker() {
                     (LabelScale::Response, &want_resp),
                     (LabelScale::Counted, &want_resp),
                 ] {
-                    let (got, visits, coded) =
-                        label_in_blocks(&forest, &domains, &codes, &rows, scale);
+                    let want_visits = |n: usize| match scale {
+                        LabelScale::Counted => row_visits[..n].iter().sum(),
+                        _ => 0,
+                    };
+                    let (got, visits, coded) = label_in_blocks(&forest, &domains, &codes, scale);
                     assert!(coded, "case {case}: code path not taken");
                     assert_eq!(bits(&got), bits(want), "case {case}: {scale:?} threads={t}");
-                    let want_visits = if scale == LabelScale::Counted {
-                        want_visits
-                    } else {
-                        0
-                    };
-                    assert_eq!(visits, want_visits, "case {case}: {scale:?} threads={t}");
+                    assert_eq!(
+                        visits,
+                        want_visits(rows.len()),
+                        "case {case}: {scale:?} threads={t}"
+                    );
+                    // 100 rows × 64+ trees is below the kernel floor.
+                    let few = 100;
+                    let (got, visits, coded) =
+                        label_in_blocks(&forest, &domains, &codes[..few * d], scale);
+                    assert!(!coded, "case {case}: {few} rows took the kernel");
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want[..few]),
+                        "case {case}: walker {scale:?}"
+                    );
+                    assert_eq!(visits, want_visits(few), "case {case}: walker {scale:?}");
                 }
             }
         });
@@ -545,49 +559,69 @@ fn code_labels_match_rows_and_walker() {
     }
 }
 
-/// A domain too large for a `u16` code sends the whole `D*` down the
-/// rows path, with identical labels; 65,536 values still fit.
+/// A domain too large for a `u16` code takes `u32` codes through the
+/// same code tables, with identical labels; 65,536 values still fit a
+/// `u16` code.
 #[test]
-fn domains_past_u16_label_from_rows() {
+fn domains_past_u16_label_from_u32_codes() {
     let mut rng = Rng::seed(99);
     let trees: Vec<Tree> = (0..8).map(|_| pooled_tree(&mut rng, 2, 4, false)).collect();
     let forest = Forest::new(trees, 0.0, 1.0, Objective::RegressionL2, 2);
-    for (size, coded) in [(1usize << 16, true), ((1 << 16) + 1, false)] {
+    for (size, narrow) in [(1usize << 16, true), ((1 << 16) + 1, false)] {
         let big: Vec<f64> = (0..size)
             .map(|k| k as f64 / size as f64 * 4.0 - 2.0)
             .collect();
         let domains = vec![big, vec![-0.5, 0.5]];
-        let rows: Vec<Vec<f64>> = (0..3000)
-            .map(|_| {
+        let codes: Vec<u32> = (0..3000)
+            .flat_map(|_| {
                 domains
                     .iter()
-                    .map(|dom| dom[rng.below(dom.len() as u64) as usize])
-                    .collect()
+                    .map(|dom| rng.below(dom.len() as u64) as u32)
+                    .collect::<Vec<_>>()
             })
             .collect();
-        let labeler = forest.domain_labeler(&domains, rows.len(), LabelScale::Response);
-        assert_eq!(labeler.uses_codes(), coded, "{size} values");
-        let codes: Vec<u16> = if coded {
-            rows.iter()
-                .zip(std::iter::repeat(&domains))
-                .flat_map(|(x, doms)| {
-                    x.iter()
-                        .zip(doms)
-                        .map(|(v, dom)| dom.iter().position(|d| d == v).unwrap() as u16)
-                        .collect::<Vec<_>>()
-                })
-                .collect()
+        let rows: Vec<Vec<f64>> = codes
+            .chunks(2)
+            .map(|c| vec![domains[0][c[0] as usize], domains[1][c[1] as usize]])
+            .collect();
+        let want = walker_response(&forest, &rows);
+        let (got, _, coded) = if narrow {
+            assert_eq!(u16::try_from(size - 1), Ok(u16::MAX));
+            let codes: Vec<u16> = codes.iter().map(|&k| k as u16).collect();
+            label_in_blocks(&forest, &domains, &codes, LabelScale::Response)
         } else {
-            Vec::new()
+            label_in_blocks(&forest, &domains, &codes, LabelScale::Response)
         };
-        let mut got = vec![0.0; rows.len()];
-        labeler
-            .label(&codes, &rows, &mut got)
-            .expect("no deadline armed");
-        assert_eq!(bits(&got), bits(&walker_response(&forest, &rows)), "{size}");
-        assert!(
-            forest.layout_cached(),
-            "{size}: rows path still rides the kernel"
-        );
+        assert!(coded, "{size}: code tables not taken");
+        assert_eq!(bits(&got), bits(&want), "{size}");
+        assert!(forest.layout_cached(), "{size}: codes ride the kernel");
+    }
+}
+
+/// A labeler whose domains do not match the forest's features fails
+/// typed, on the kernel's route and on the walker's.
+#[test]
+fn mismatched_domains_are_invalid_data() {
+    let mut rng = Rng::seed(5);
+    let trees: Vec<Tree> = (0..128)
+        .map(|_| pooled_tree(&mut rng, 3, 4, false))
+        .collect();
+    let forest = Forest::new(trees, 0.0, 1.0, Objective::RegressionL2, 3);
+    let domains = pooled_domains(&mut rng, 3);
+    for n in [50, 5_000] {
+        for doms in [
+            &domains[..2],
+            &[domains.clone(), vec![vec![1.0]]].concat()[..],
+        ] {
+            let labeler = forest.domain_labeler(doms, n, LabelScale::Response);
+            let codes = vec![0u16; n * 3];
+            let mut out = vec![0.0; n];
+            let result = labeler.label(&codes, &mut out);
+            assert!(
+                matches!(result, Err(ForestError::InvalidData(_))),
+                "{} domains, {n} rows: {result:?}",
+                doms.len()
+            );
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! path evaluates bases through one allocation-free evaluator,
 //! `BuiltTerm::fill_runs`.
 
-use crate::terms::{BuiltTerm, TermSpec};
+use crate::terms::{BuiltTerm, TermSpec, TermTable};
 use crate::GamError;
 use gef_linalg::Matrix;
 
@@ -137,6 +137,141 @@ pub(crate) fn sparse_dot(row: &[(usize, f64)], beta: &[f64]) -> f64 {
     row.iter().map(|&(c, v)| v * beta[c]).sum()
 }
 
+/// Where [`DesignMatrix::build`] reads each row's feature values: `f64`
+/// rows, or domain codes ([`CodedRows`]). The fill of one term's runs
+/// in one row is the only step that differs; the build is one body.
+pub(crate) trait Cells: Sync {
+    /// What the fill reads besides the cells, prepared once per design.
+    type Tables: Sync;
+
+    /// Number of rows.
+    fn rows(&self) -> usize;
+
+    /// Check that `design`'s terms can read every row, and prepare the
+    /// fill's tables.
+    fn prepare(&self, design: &Design) -> Result<Self::Tables, GamError>;
+
+    /// Term `t`'s runs of row `r`, as [`BuiltTerm::fill_runs`] lays
+    /// them out.
+    fn fill(
+        &self,
+        tables: &Self::Tables,
+        t: (usize, &BuiltTerm),
+        r: usize,
+        firsts: &mut [u32],
+        values: &mut [f64],
+        scratch: &mut [f64],
+    );
+}
+
+/// Rows of feature values: each term evaluates its bases per row.
+impl Cells for [Vec<f64>] {
+    type Tables = ();
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn prepare(&self, design: &Design) -> Result<(), GamError> {
+        match self.iter().position(|x| x.len() < design.min_width) {
+            Some(r) => Err(GamError::InvalidData(format!(
+                "row {r} has {} features, but the terms read feature {}",
+                self[r].len(),
+                design.min_width - 1
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    #[inline]
+    fn fill(
+        &self,
+        _: &(),
+        (_, term): (usize, &BuiltTerm),
+        r: usize,
+        firsts: &mut [u32],
+        values: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        term.fill_runs(&self[r], firsts, values, scratch);
+    }
+}
+
+/// Rows given as domain codes: row `r`'s feature `f` is
+/// `domains[f][codes[r · d + f]]`, row-major over `d = domains.len()`
+/// features, and an empty domain stands for the constant 0.0 at code 0.
+/// This is how `D*` is stored (every cell is one value of its feature's
+/// sampling domain). A design reads such rows by evaluating each term
+/// once per domain value and copying, which gives the same design, bit
+/// for bit, as the rows the codes stand for.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedRows<'a, C> {
+    /// Row-major domain codes, `rows × domains.len()`.
+    pub codes: &'a [C],
+    /// One sampling domain per feature.
+    pub domains: &'a [Vec<f64>],
+}
+
+impl<C: Copy + Into<u32> + Sync> Cells for CodedRows<'_, C> {
+    /// One table per term.
+    type Tables = Vec<TermTable>;
+
+    fn rows(&self) -> usize {
+        self.codes
+            .len()
+            .checked_div(self.domains.len())
+            .unwrap_or(0)
+    }
+
+    fn prepare(&self, design: &Design) -> Result<Vec<TermTable>, GamError> {
+        let d = self.domains.len();
+        if d < design.min_width {
+            return Err(GamError::InvalidData(format!(
+                "rows have {d} features, but the terms read feature {}",
+                design.min_width - 1
+            )));
+        }
+        if !self.codes.len().is_multiple_of(d) {
+            return Err(GamError::InvalidData(format!(
+                "{} codes do not make rows of {d} features",
+                self.codes.len()
+            )));
+        }
+        let tables: Vec<TermTable> = design.terms.iter().map(|t| t.table(self.domains)).collect();
+        let mut sizes: Vec<(usize, usize)> =
+            tables.iter().flat_map(TermTable::domain_sizes).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for (r, row) in self.codes.chunks_exact(d).enumerate() {
+            if let Some(&(f, size)) = sizes
+                .iter()
+                .find(|&&(f, size)| row[f].into() as usize >= size)
+            {
+                return Err(GamError::InvalidData(format!(
+                    "row {r} has code {} for feature {f}, whose domain holds {size}",
+                    row[f].into()
+                )));
+            }
+        }
+        Ok(tables)
+    }
+
+    #[inline]
+    fn fill(
+        &self,
+        tables: &Vec<TermTable>,
+        (t, _): (usize, &BuiltTerm),
+        r: usize,
+        firsts: &mut [u32],
+        values: &mut [f64],
+        _: &mut [f64],
+    ) {
+        let d = self.domains.len();
+        let row = &self.codes[r * d..(r + 1) * d];
+        tables[t].fill(|f| row[f].into() as usize, firsts, values);
+    }
+}
+
 /// The design evaluated over a set of rows, term-major. Block 0 is the
 /// intercept (one run holding 1.0 per row); block `t + 1` is term `t`.
 #[derive(Debug)]
@@ -201,18 +336,13 @@ impl TermBlock {
 }
 
 impl DesignMatrix {
-    /// Evaluate `design` at every row of `xs`, in row chunks on the
-    /// gef-par pool. A row narrower than the terms need is an
-    /// [`GamError::InvalidData`] naming the first such row.
-    pub(crate) fn build(design: &Design, xs: &[Vec<f64>]) -> Result<Self, GamError> {
-        if let Some(r) = xs.iter().position(|x| x.len() < design.min_width) {
-            return Err(GamError::InvalidData(format!(
-                "row {r} has {} features, but the terms read feature {}",
-                xs[r].len(),
-                design.min_width - 1
-            )));
-        }
-        let rows = xs.len();
+    /// Evaluate `design` at every row of `cells`, in row chunks on the
+    /// gef-par pool. Cells the terms cannot read (a row narrower than
+    /// they need, a code outside its domain) are an
+    /// [`GamError::InvalidData`].
+    pub(crate) fn build<S: Cells + ?Sized>(design: &Design, cells: &S) -> Result<Self, GamError> {
+        let tables = cells.prepare(design)?;
+        let rows = cells.rows();
         let mut intercept = TermBlock::zeros(0, 1, (1, 1), rows)?;
         intercept.values.fill(1.0);
         let mut blocks = vec![intercept];
@@ -241,11 +371,14 @@ impl DesignMatrix {
             gef_par::Options::default().with_label("gam.design_rows"),
             |ci, mut pieces| {
                 let mut scratch = vec![0.0; scratch_len];
-                for (i, x) in xs[ci * size..].iter().take(size).enumerate() {
-                    for (term, (firsts, values)) in design.terms.iter().zip(pieces.iter_mut()) {
+                for i in 0..size.min(rows - ci * size) {
+                    let terms = design.terms.iter().zip(pieces.iter_mut()).enumerate();
+                    for (t, (term, (firsts, values))) in terms {
                         let (runs, len) = term.run_shape();
-                        term.fill_runs(
-                            x,
+                        cells.fill(
+                            &tables,
+                            (t, term),
+                            ci * size + i,
                             &mut firsts[i * runs..(i + 1) * runs],
                             &mut values[i * runs * len..(i + 1) * runs * len],
                             &mut scratch[..term.scratch_len()],
@@ -625,67 +758,162 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    #[test]
-    fn design_matrix_matches_design_rows_bitwise() {
-        let d = Design::compile(&every_block_shape(), 2).unwrap();
-        let p = d.num_cols;
-        // Hits the domain ends and knots exactly, where basis values are
-        // zero.
-        let xs: Vec<Vec<f64>> = (0..500)
-            .map(|i| {
-                vec![
-                    (i * 37 % 101) as f64 / 100.0,
-                    (i % 3) as f64,
-                    (i * 53 % 97) as f64 / 96.0,
+    /// [`every_block_shape`] on features 0–2, plus the terms the
+    /// recovery ladder builds and the domains `D*` can hold: an
+    /// anchored spline whose knots sit on domain values, the linear
+    /// surrogate's degree-1 two-basis spline and one-level factor, and
+    /// terms on an empty domain (feature 3, the constant 0.0) and on a
+    /// one-value domain (feature 4). Returns the terms, the domains and
+    /// 500 rows of codes. Feature 0's domain holds the ends of `[0, 1]`
+    /// and the uniform spline's knots, where basis values are zero.
+    fn coded_mix() -> (Vec<TermSpec>, Vec<Vec<f64>>, Vec<u16>) {
+        let mut dom0: Vec<f64> = (0..=100).map(|k| k as f64 / 100.0).collect();
+        dom0.extend((0..=17).map(|j| 1.0 / 17.0 * j as f64));
+        dom0.sort_by(f64::total_cmp);
+        dom0.dedup();
+        let dom2: Vec<f64> = (0..97).map(|k| k as f64 / 96.0).collect();
+        let domains = vec![dom0, vec![0.0, 1.0, 2.0], dom2.clone(), vec![], vec![0.3]];
+        let mut specs = every_block_shape();
+        specs.extend([
+            TermSpec::SplineAnchored {
+                feature: 2,
+                num_basis: 7,
+                degree: 3,
+                anchors: dom2,
+            },
+            TermSpec::Spline {
+                feature: 3,
+                num_basis: 2,
+                degree: 1,
+                range: (-1.0, 1.0),
+            },
+            TermSpec::factor(4, vec![0.3]),
+            TermSpec::Tensor {
+                features: (4, 3),
+                num_basis: (4, 5),
+                ranges: ((0.0, 1.0), (-1.0, 1.0)),
+                degree: 3,
+            },
+        ]);
+        let len0 = domains[0].len();
+        let codes = (0..500)
+            .flat_map(|i| {
+                [
+                    (i * 37 % len0) as u16,
+                    (i % 3) as u16,
+                    (i * 53 % 97) as u16,
+                    0,
+                    0,
                 ]
             })
             .collect();
-        let m = DesignMatrix::build(&d, &xs).unwrap();
-        let beta: Vec<f64> = (0..p).map(|c| (c as f64 * 0.7).sin()).collect();
-        let mut sums = vec![0.0; p];
-        for (r, x) in xs.iter().enumerate() {
-            let row = d.row(x);
-            assert_eq!(
-                m.row_dot(r, &beta).to_bits(),
-                sparse_dot(&row, &beta).to_bits()
-            );
-            for t in 0..d.terms.len() {
-                let want = sparse_dot(&d.term_row(t, x), &beta);
-                assert_eq!(m.term_dot(t, r, &beta).to_bits(), want.to_bits());
-            }
-            for &(c, v) in &row {
-                sums[c] += v;
-            }
-        }
-        assert_eq!(bits(&m.column_sums().unwrap()), bits(&sums));
+        (specs, domains, codes)
+    }
 
-        // XᵀX with Xᵀy (the Gaussian fit) and XᵀWX with XᵀWz (a PIRLS
-        // iteration) against row-by-row rank-1 updates.
-        let ones = vec![1.0; xs.len()];
-        let ys: Vec<f64> = xs.iter().map(|x| x[0] - 2.0 * x[2] * x[0]).collect();
-        let w: Vec<f64> = (0..xs.len())
-            .map(|r| 0.01 + (r % 7) as f64 / 29.0)
+    #[test]
+    fn design_matrix_matches_design_rows_bitwise() {
+        let (specs, domains, codes) = coded_mix();
+        let d = Design::compile(&specs, 2).unwrap();
+        let p = d.num_cols;
+        let xs: Vec<Vec<f64>> = codes
+            .chunks_exact(domains.len())
+            .map(|row| {
+                row.iter()
+                    .zip(&domains)
+                    .map(|(&k, dom)| dom.get(usize::from(k)).copied().unwrap_or(0.0))
+                    .collect()
+            })
             .collect();
-        let wz: Vec<f64> = ys.iter().zip(&w).map(|(y, w)| w * (y - 0.3)).collect();
-        let mut blocks = m.gram_blocks();
-        for (w, u) in [(&ones, &ys), (&w, &wz)] {
-            let mut g = Matrix::zeros(p, p);
-            let mut b = vec![0.0; p];
-            for ((x, &wr), &ur) in xs.iter().zip(w).zip(u) {
+        let coded = CodedRows {
+            codes: &codes,
+            domains: &domains,
+        };
+        let from_rows = DesignMatrix::build(&d, &xs[..]).unwrap();
+        let from_codes = DesignMatrix::build(&d, &coded).unwrap();
+        for m in [from_rows, from_codes] {
+            let beta: Vec<f64> = (0..p).map(|c| (c as f64 * 0.7).sin()).collect();
+            let mut sums = vec![0.0; p];
+            for (r, x) in xs.iter().enumerate() {
                 let row = d.row(x);
-                g.syr_upper_sparse(&row, wr);
+                assert_eq!(
+                    m.row_dot(r, &beta).to_bits(),
+                    sparse_dot(&row, &beta).to_bits()
+                );
+                for t in 0..d.terms.len() {
+                    let want = sparse_dot(&d.term_row(t, x), &beta);
+                    assert_eq!(m.term_dot(t, r, &beta).to_bits(), want.to_bits());
+                }
                 for &(c, v) in &row {
-                    b[c] += v * ur;
+                    sums[c] += v;
                 }
             }
-            g.mirror_upper();
-            // Buffers are reused, as PIRLS reuses them across iterations.
-            for block in &mut blocks {
-                m.accumulate(block, w, u);
+            assert_eq!(bits(&m.column_sums().unwrap()), bits(&sums));
+
+            // XᵀX with Xᵀy (the Gaussian fit) and XᵀWX with XᵀWz (a PIRLS
+            // iteration) against row-by-row rank-1 updates.
+            let ones = vec![1.0; xs.len()];
+            let ys: Vec<f64> = xs.iter().map(|x| x[0] - 2.0 * x[2] * x[0]).collect();
+            let w: Vec<f64> = (0..xs.len())
+                .map(|r| 0.01 + (r % 7) as f64 / 29.0)
+                .collect();
+            let wz: Vec<f64> = ys.iter().zip(&w).map(|(y, w)| w * (y - 0.3)).collect();
+            let mut blocks = m.gram_blocks();
+            for (w, u) in [(&ones, &ys), (&w, &wz)] {
+                let mut g = Matrix::zeros(p, p);
+                let mut b = vec![0.0; p];
+                for ((x, &wr), &ur) in xs.iter().zip(w).zip(u) {
+                    let row = d.row(x);
+                    g.syr_upper_sparse(&row, wr);
+                    for &(c, v) in &row {
+                        b[c] += v * ur;
+                    }
+                }
+                g.mirror_upper();
+                // Buffers are reused, as PIRLS reuses them across iterations.
+                for block in &mut blocks {
+                    m.accumulate(block, w, u);
+                }
+                let (blocked, xtu) = m.assemble(&blocks);
+                assert_eq!(bits(blocked.data()), bits(g.data()));
+                assert_eq!(bits(&xtu), bits(&b));
             }
-            let (blocked, xtu) = m.assemble(&blocks);
-            assert_eq!(bits(blocked.data()), bits(g.data()));
-            assert_eq!(bits(&xtu), bits(&b));
+        }
+    }
+
+    /// Codes the terms cannot read are typed errors, not panics.
+    #[test]
+    fn coded_rows_out_of_range_are_invalid_data() {
+        let (specs, domains, mut codes) = coded_mix();
+        let d = Design::compile(&specs, 2).unwrap();
+        let narrow = CodedRows {
+            codes: &codes[..],
+            domains: &domains[..4],
+        };
+        assert!(matches!(
+            DesignMatrix::build(&d, &narrow),
+            Err(GamError::InvalidData(_))
+        ));
+        let ragged = CodedRows {
+            codes: &codes[..codes.len() - 1],
+            domains: &domains,
+        };
+        assert!(matches!(
+            DesignMatrix::build(&d, &ragged),
+            Err(GamError::InvalidData(_))
+        ));
+        // Code 1 of the empty domain, then code 3 of the 3-level factor.
+        for (cell, code) in [(5 * 7 + 3, 1), (5 * 9 + 1, 3)] {
+            let saved = codes[cell];
+            codes[cell] = code;
+            let bad = CodedRows {
+                codes: &codes,
+                domains: &domains,
+            };
+            assert!(matches!(
+                DesignMatrix::build(&d, &bad),
+                Err(GamError::InvalidData(_))
+            ));
+            codes[cell] = saved;
         }
     }
 

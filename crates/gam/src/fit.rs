@@ -15,7 +15,7 @@
 //! `Vβ = (XᵀWX + λS)⁻¹ φ` (Wood 2006), the same construction PyGAM uses
 //! for the intervals shown in the paper's spline plots.
 
-use crate::design::{sparse_dot, Design, DesignMatrix};
+use crate::design::{sparse_dot, Cells, CodedRows, Design, DesignMatrix};
 use crate::terms::TermSpec;
 use crate::{GamError, Result};
 use gef_linalg::{Cholesky, Matrix};
@@ -159,15 +159,31 @@ pub struct Gam {
 /// `xs` are row-major instances, `ys` the responses (in `[0, 1]` for
 /// [`Link::Logit`]).
 pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
+    fit_on(spec, xs, ys)
+}
+
+/// [`fit`] on rows given as domain codes. Each term is evaluated once
+/// per domain value instead of once per row; the fitted GAM is
+/// bit-identical to [`fit`] on the rows the codes stand for.
+pub fn fit_coded<C: Copy + Into<u32> + Sync>(
+    spec: &GamSpec,
+    rows: CodedRows<'_, C>,
+    ys: &[f64],
+) -> Result<Gam> {
+    fit_on(spec, &rows, ys)
+}
+
+/// The fit, on either kind of rows.
+fn fit_on<S: Cells + ?Sized>(spec: &GamSpec, xs: &S, ys: &[f64]) -> Result<Gam> {
     let _span = gef_trace::Span::enter("gam.fit");
-    if xs.len() != ys.len() {
+    if xs.rows() != ys.len() {
         return Err(GamError::InvalidData(format!(
             "{} rows but {} responses",
-            xs.len(),
+            xs.rows(),
             ys.len()
         )));
     }
-    if xs.is_empty() {
+    if xs.rows() == 0 {
         return Err(GamError::InvalidData("empty training set".into()));
     }
     if spec.link == Link::Logit && ys.iter().any(|&y| !(0.0..=1.0).contains(&y)) {
@@ -181,7 +197,7 @@ pub fn fit(spec: &GamSpec, xs: &[Vec<f64>], ys: &[f64]) -> Result<Gam> {
     let design = gef_trace::time("gam.design_compile", || {
         Design::compile(&spec.terms, spec.penalty_order)
     })?;
-    let n = xs.len();
+    let n = xs.rows();
     let p = design.num_cols;
     if n < p {
         // Penalization makes this solvable, but warn via error for the
@@ -893,6 +909,19 @@ impl Gam {
     /// on each row. The design is evaluated on the gef-par pool; a row
     /// narrower than the terms need is an [`GamError::InvalidData`].
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>> {
+        self.predict_on(xs)
+    }
+
+    /// [`Gam::predict_batch`] on rows given as domain codes, bit-equal
+    /// to it on the rows the codes stand for.
+    pub fn predict_batch_coded<C: Copy + Into<u32> + Sync>(
+        &self,
+        rows: CodedRows<'_, C>,
+    ) -> Result<Vec<f64>> {
+        self.predict_on(&rows)
+    }
+
+    fn predict_on<S: Cells + ?Sized>(&self, xs: &S) -> Result<Vec<f64>> {
         let rows = DesignMatrix::build(&self.design, xs)?;
         Ok((0..rows.rows())
             .map(|r| self.link.inverse(rows.row_dot(r, &self.beta)))
@@ -1732,6 +1761,84 @@ mod tests {
         };
         let gam = fit(&spec, &xs, &ys).unwrap();
         assert_eq!(gam.content_digest(), 0x72f6_b3da_ed7a_74dc);
+    }
+
+    /// The coded fit is the row fit: on rows given as domain codes,
+    /// `fit_coded` and `predict_batch_coded` give the GAM (same content
+    /// digest) and the predictions that `fit` and `predict_batch` give
+    /// on the rows the codes stand for, on both links, at 1 and 4
+    /// threads. The terms are the pipeline's: anchored splines and
+    /// tensors on the sampling domains, and a factor.
+    #[test]
+    fn coded_fit_matches_row_fit() {
+        let domains: Vec<Vec<f64>> = vec![
+            (0..40).map(|k| k as f64 / 39.0).collect(),
+            vec![0.0, 1.0, 2.0],
+            (0..25).map(|k| (k as f64 / 24.0).powi(2)).collect(),
+        ];
+        let mut rng = gef_trace::rng::Rng::seed(61);
+        let codes: Vec<u16> = (0..900)
+            .flat_map(|_| {
+                domains
+                    .iter()
+                    .map(|dom| rng.below(dom.len() as u64) as u16)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let xs: Vec<Vec<f64>> = codes
+            .chunks_exact(3)
+            .map(|row| {
+                row.iter()
+                    .zip(&domains)
+                    .map(|(&k, dom)| dom[usize::from(k)])
+                    .collect()
+            })
+            .collect();
+        let coded = CodedRows {
+            codes: &codes,
+            domains: &domains,
+        };
+        let eta: Vec<f64> = xs
+            .iter()
+            .map(|x| (4.0 * x[0]).sin() + 0.5 * x[1] - 2.0 * x[0] * x[2])
+            .collect();
+        let terms = vec![
+            TermSpec::SplineAnchored {
+                feature: 0,
+                num_basis: 10,
+                degree: 3,
+                anchors: domains[0].clone(),
+            },
+            TermSpec::factor(1, domains[1].clone()),
+            TermSpec::TensorAnchored {
+                features: (0, 2),
+                num_basis: (5, 5),
+                anchors: (domains[0].clone(), domains[2].clone()),
+                degree: 3,
+            },
+        ];
+        for link in [Link::Identity, Link::Logit] {
+            let ys: Vec<f64> = eta.iter().map(|&e| link.inverse(e)).collect();
+            let spec = GamSpec {
+                terms: terms.clone(),
+                link,
+                ..GamSpec::regression(Vec::new())
+            };
+            let want = fit(&spec, &xs, &ys).unwrap();
+            let want_preds = bits(&want.predict_batch(&xs).unwrap());
+            for threads in [1, 4] {
+                gef_par::set_threads(threads);
+                let got = fit_coded(&spec, coded, &ys).unwrap();
+                let preds = got.predict_batch_coded(coded).unwrap();
+                gef_par::set_threads(1);
+                assert_eq!(
+                    got.content_digest(),
+                    want.content_digest(),
+                    "{link:?} at {threads} threads"
+                );
+                assert_eq!(bits(&preds), want_preds, "{link:?} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub mod penalty;
 pub mod terms;
 
 pub use bspline::BSplineBasis;
-pub use fit::{fit, FitSummary, Gam, GamSpec, LambdaSelection, Link};
+pub use design::CodedRows;
+pub use fit::{fit, fit_coded, FitSummary, Gam, GamSpec, LambdaSelection, Link};
 pub use terms::{TermSpec, DEFAULT_DEGREE, DEFAULT_SPLINE_BASIS, DEFAULT_TENSOR_BASIS};
 
 /// Errors produced while specifying or fitting a GAM.

@@ -334,10 +334,12 @@ impl BuiltTerm {
     }
 
     /// Length of the scratch [`BuiltTerm::fill_runs`] needs: a tensor's
-    /// first-margin values.
+    /// two margins' values.
     pub(crate) fn scratch_len(&self) -> usize {
         match self {
-            BuiltTerm::Tensor { basis_a, .. } => basis_a.degree() + 1,
+            BuiltTerm::Tensor {
+                basis_a, basis_b, ..
+            } => basis_a.degree() + basis_b.degree() + 2,
             BuiltTerm::Spline { .. } | BuiltTerm::Factor { .. } => 0,
         }
     }
@@ -368,22 +370,54 @@ impl BuiltTerm {
                 basis_a,
                 basis_b,
             } => {
-                let fa = basis_a.eval_into(x[features.0], scratch);
-                let (run0, rest) = vals.split_at_mut(basis_b.degree() + 1);
-                let fb = basis_b.eval_into(x[features.1], run0);
-                // Run i holds a_i·b_j. Runs 1.. read the second margin's
-                // values from run 0, which is scaled last, in place.
-                for (run, &a) in rest.chunks_exact_mut(run0.len()).zip(&scratch[1..]) {
-                    for (v, &b) in run.iter_mut().zip(run0.iter()) {
-                        *v = a * b;
-                    }
+                let (a, b) = scratch.split_at_mut(basis_a.degree() + 1);
+                let fa = basis_a.eval_into(x[features.0], a);
+                let fb = basis_b.eval_into(x[features.1], b);
+                tensor_runs((fa, a), (fb, b), basis_b.num_basis(), firsts, vals);
+            }
+        }
+    }
+
+    /// The term's runs at every value of its features' domains, for
+    /// rows given as domain codes (see [`TermTable`]). `domains` holds
+    /// one domain per feature; an empty one stands for the constant 0.0
+    /// at code 0.
+    pub(crate) fn table(&self, domains: &[Vec<f64>]) -> TermTable {
+        let values = |f: usize| -> &[f64] {
+            match domains[f].as_slice() {
+                [] => &[0.0],
+                dom => dom,
+            }
+        };
+        match self {
+            BuiltTerm::Spline { feature, .. } | BuiltTerm::Factor { feature, .. } => {
+                let mut x = vec![0.0; feature + 1];
+                let mut first = [0];
+                let table = PerValue::new(values(*feature), self.run_shape().1, |v, vals| {
+                    x[*feature] = v;
+                    self.fill_runs(&x, &mut first, vals, &mut []);
+                    first[0]
+                });
+                TermTable::Run {
+                    feature: *feature,
+                    table,
                 }
-                for v in run0.iter_mut() {
-                    *v *= scratch[0];
-                }
-                let kb = basis_b.num_basis();
-                for (i, f) in firsts.iter_mut().enumerate() {
-                    *f = ((fa + i) * kb + fb) as u32;
+            }
+            BuiltTerm::Tensor {
+                features,
+                basis_a,
+                basis_b,
+            } => {
+                let margin = |basis: &BSplineBasis, f: usize| {
+                    PerValue::new(values(f), basis.degree() + 1, |v, vals| {
+                        basis.eval_into(v, vals) as u32
+                    })
+                };
+                TermTable::Tensor {
+                    features: *features,
+                    a: margin(basis_a, features.0),
+                    b: margin(basis_b, features.1),
+                    kb: basis_b.num_basis(),
                 }
             }
         }
@@ -416,6 +450,106 @@ impl BuiltTerm {
                 tensor_penalty(&pa, &pb)
             }
         }
+    }
+}
+
+/// A tensor's runs from its two margins' non-zero basis values at one
+/// point, `(first, values)` each: run `i` holds `a_i·b_j` over `j`, and
+/// starts at column `(first_a + i)·kb + first_b`, `kb` being the second
+/// margin's basis size.
+fn tensor_runs(
+    (fa, a): (usize, &[f64]),
+    (fb, b): (usize, &[f64]),
+    kb: usize,
+    firsts: &mut [u32],
+    vals: &mut [f64],
+) {
+    for (i, (run, &ai)) in vals.chunks_exact_mut(b.len()).zip(a).enumerate() {
+        for (v, &bj) in run.iter_mut().zip(b) {
+            *v = ai * bj;
+        }
+        firsts[i] = ((fa + i) * kb + fb) as u32;
+    }
+}
+
+/// A term's runs at every value of its features' sampling domains,
+/// evaluated once by [`BuiltTerm::table`], for rows given as domain
+/// codes. A row's runs are then bit-equal to [`BuiltTerm::fill_runs`]
+/// at the values its codes stand for.
+#[derive(Debug)]
+pub(crate) enum TermTable {
+    /// A spline or a factor (one run a row): [`BuiltTerm::fill_runs`]
+    /// at each value of the feature's domain.
+    Run { feature: usize, table: PerValue },
+    /// A tensor: each margin's basis at each value of its feature's
+    /// domain; a row multiplies its two margins as
+    /// [`BuiltTerm::fill_runs`] does.
+    Tensor {
+        features: (usize, usize),
+        a: PerValue,
+        b: PerValue,
+        kb: usize,
+    },
+}
+
+impl TermTable {
+    /// Fill the term's runs of one row, whose feature `f` has code
+    /// `code(f)`. A code must be below its domain's length (1 for an
+    /// empty domain).
+    #[inline]
+    pub(crate) fn fill(&self, code: impl Fn(usize) -> usize, firsts: &mut [u32], vals: &mut [f64]) {
+        match self {
+            TermTable::Run { feature, table } => {
+                let (first, run) = table.at(code(*feature));
+                firsts[0] = first as u32;
+                vals.copy_from_slice(run);
+            }
+            TermTable::Tensor { features, a, b, kb } => {
+                let a = a.at(code(features.0));
+                let b = b.at(code(features.1));
+                tensor_runs(a, b, *kb, firsts, vals);
+            }
+        }
+    }
+
+    /// The features whose codes the term reads, each with the number
+    /// of codes its domain holds.
+    pub(crate) fn domain_sizes(&self) -> Vec<(usize, usize)> {
+        match self {
+            TermTable::Run { feature, table } => vec![(*feature, table.firsts.len())],
+            TermTable::Tensor { features, a, b, .. } => {
+                vec![(features.0, a.firsts.len()), (features.1, b.firsts.len())]
+            }
+        }
+    }
+}
+
+/// One run evaluated at every value of a domain: value `k`'s first
+/// column and its `len` values.
+#[derive(Debug)]
+pub(crate) struct PerValue {
+    firsts: Vec<u32>,
+    vals: Vec<f64>,
+    len: usize,
+}
+
+impl PerValue {
+    /// `eval(v, vals)`, which returns the first column, at every value
+    /// `v` of `dom`.
+    fn new(dom: &[f64], len: usize, mut eval: impl FnMut(f64, &mut [f64]) -> u32) -> PerValue {
+        let mut vals = vec![0.0; dom.len() * len];
+        let firsts = dom
+            .iter()
+            .zip(vals.chunks_exact_mut(len))
+            .map(|(&v, run)| eval(v, run))
+            .collect();
+        PerValue { firsts, vals, len }
+    }
+
+    #[inline]
+    fn at(&self, k: usize) -> (usize, &[f64]) {
+        let run = &self.vals[k * self.len..(k + 1) * self.len];
+        (self.firsts[k] as usize, run)
     }
 }
 

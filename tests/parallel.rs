@@ -98,10 +98,47 @@ fn dstar_labeling_is_bit_identical_across_thread_counts() {
             .uses_codes());
         let dstar = |t| at_threads(t, || generate(&forest, &domains, 8_000, false, 21).unwrap());
         let (one, four) = (dstar(1), dstar(4));
-        assert_eq!(one.xs, four.xs);
-        assert_eq!(bits(&one.ys), bits(&four.ys));
-        let reference: Vec<f64> = one.xs.iter().map(|x| forest.predict(x)).collect();
-        assert_eq!(bits(&one.ys), bits(&reference));
+        assert_eq!(one.codes(), four.codes());
+        assert_eq!(bits(one.labels()), bits(four.labels()));
+        let reference: Vec<f64> = one
+            .rows(0..one.len())
+            .iter()
+            .map(|x| forest.predict(x))
+            .collect();
+        assert_eq!(bits(one.labels()), bits(&reference));
+    });
+}
+
+/// With a fault armed, the forest labels `D*` on the walker, one row at
+/// a time materialized from its codes (see `Forest::domain_labeler`).
+/// A site armed on no hit changes no label, so the walker's `D*` must
+/// equal the kernel's from code tables, codes and labels, at 1 and 4
+/// threads.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn dstar_walker_route_from_codes_matches_code_tables() {
+    use gef::core::faults::{self, Trigger};
+    with_thread_control(|| {
+        let data = training_data();
+        let forest = at_threads(1, || train(&data));
+        let profile = gef::core::selection::ForestProfile::analyze(&forest);
+        let domains =
+            gef::core::generate::build_domains(&profile, &[0, 1, 2], SamplingStrategy::EquiSize(8))
+                .unwrap();
+        let labeler = || forest.domain_labeler(&domains, 8_000, gef::forest::LabelScale::Response);
+        assert!(labeler().uses_codes());
+        let tables = at_threads(4, || generate(&forest, &domains, 8_000, false, 21).unwrap());
+        for t in [1, 4] {
+            faults::reset();
+            faults::arm(faults::FOREST_PREDICT_NAN, Trigger::Hits(Vec::new()));
+            assert!(!labeler().uses_codes(), "an armed fault walks");
+            let walked = at_threads(t, || generate(&forest, &domains, 8_000, false, 21).unwrap());
+            let hits = faults::hit_count(faults::FOREST_PREDICT_NAN);
+            faults::reset();
+            assert_eq!(hits, 8_000, "threads={t}: one walker call per row");
+            assert_eq!(walked.codes(), tables.codes(), "threads={t}");
+            assert_eq!(bits(walked.labels()), bits(tables.labels()), "threads={t}");
+        }
     });
 }
 
