@@ -162,8 +162,8 @@ step "cargo fmt --check" cargo fmt --all -- --check
 
 step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
 
-# No-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store and
-# gef-trace deny unwrap/expect in non-test library code via
+# No-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store,
+# gef-trace and gef-linalg deny unwrap/expect in non-test library code via
 # #![cfg_attr(not(test), deny(...))] in their lib.rs; this lint pass
 # compiles the libs without cfg(test) to enforce it. gef-par is
 # included so the guarantee covers the parallel paths: a task panic
@@ -179,10 +179,13 @@ step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D war
 # dead server. gef-trace is included because its hooks run inside every
 # other crate, including in Span::drop: a poisoned telemetry lock must
 # not turn one panic into two. It is linted with alloc-track on, so the
-# tracking allocator's code is covered too.
-step "cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace)" \
-    cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace --lib \
-    --features gef-trace/alloc-track -- -D warnings
+# tracking allocator's code is covered too. gef-linalg is included
+# because its Cholesky factor and inverse, under every GAM fit, run
+# AVX2 kernels with unchecked loads and stores: as in gef-forest, the
+# safe code around them must not hide a panic path.
+step "cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace, gef-linalg)" \
+    cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace \
+    -p gef-linalg --lib --features gef-trace/alloc-track -- -D warnings
 
 if ((${#failed[@]})); then
     echo "CI gate failed: ${#failed[@]} step(s)" >&2

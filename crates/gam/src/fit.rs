@@ -245,15 +245,16 @@ fn fit_on<S: Cells + ?Sized>(spec: &GamSpec, xs: &S, ys: &[f64]) -> Result<Gam> 
     };
     let (lambda, best) = {
         let _grid_span = gef_trace::Span::enter("gam.gcv_grid");
-        // Each λ candidate owns its factorization and inverse, so the grid
-        // evaluates on the gef-par pool. A finished candidate takes the
-        // best slot only if it [`beats`] the holder; a loser drops its β
-        // and p×p inverse at once, so at most one inverse per running
-        // task plus the winner's is alive. The light records come back
-        // in grid order for telemetry. A candidate whose linear algebra
-        // fails (or, for logit, whose PIRLS run diverges — typically a
-        // small λ on near-separable data) is skipped, not fatal:
-        // better-conditioned λ values may still produce a usable fit.
+        // Each λ candidate owns one p×p buffer, which holds its system,
+        // then the factor, then the inverse, so the grid evaluates on the
+        // gef-par pool. A finished candidate takes the best slot only if
+        // it [`beats`] the holder; a loser drops its β and inverse at
+        // once, so at most one buffer per running task plus the winner's
+        // inverse is alive. The light records come back in grid order
+        // for telemetry. A candidate whose linear algebra fails (or, for
+        // logit, whose PIRLS run diverges — typically a small λ on
+        // near-separable data) is skipped, not fatal: better-conditioned
+        // λ values may still produce a usable fit.
         let best: Mutex<Option<(usize, Candidate)>> = Mutex::new(None);
         let records = gef_par::map(
             grid.len(),
@@ -267,7 +268,7 @@ fn fit_on<S: Cells + ?Sized>(spec: &GamSpec, xs: &S, ys: &[f64]) -> Result<Gam> 
                     return Err(GamError::DeadlineExceeded { at: "gcv_grid" });
                 }
                 let cand = match &normal {
-                    Some(ne) => gaussian_candidate(ne, &design.penalty, grid[gi], &constraint)?,
+                    Some(ne) => gaussian_candidate(ne, &design, grid[gi], &constraint)?,
                     None => logit_candidate(
                         &design,
                         &rows,
@@ -464,35 +465,81 @@ fn constraint_penalty(design: &Design, rows: &DesignMatrix) -> Result<Matrix> {
     Ok(sc)
 }
 
-/// Small deterministic ridge keeping the penalized system positive
-/// definite along term-vs-intercept constant directions (each spline
-/// basis is a partition of unity, so its constant direction aliases the
-/// intercept; the difference penalty does not remove it).
-fn ridge_for(g: &Matrix) -> f64 {
-    let p = g.rows();
-    let mean_diag = (0..p).map(|i| g[(i, i)].abs()).sum::<f64>() / p as f64;
-    1e-7 * mean_diag.max(f64::MIN_POSITIVE)
+/// The two diagonal shifts of a penalized system, both scaled to `G`'s
+/// mean absolute diagonal.
+#[derive(Clone, Copy)]
+struct Shifts {
+    /// λ-independent constraint strength: strong enough to pin the
+    /// aliased constant directions, orders of magnitude above the data
+    /// curvature along them (which is shared with the intercept).
+    kappa: f64,
+    /// Small deterministic ridge keeping the penalized system positive
+    /// definite along term-vs-intercept constant directions (each spline
+    /// basis is a partition of unity, so its constant direction aliases
+    /// the intercept; the difference penalty does not remove it).
+    ridge: f64,
 }
 
+impl Shifts {
+    fn of(g: &Matrix) -> Shifts {
+        let p = g.rows();
+        let diag = (0..p).map(|i| g[(i, i)].abs()).sum::<f64>();
+        Shifts {
+            kappa: 10.0 * diag / p as f64,
+            ridge: 1e-7 * (diag / p as f64).max(f64::MIN_POSITIVE),
+        }
+    }
+}
+
+/// `c += λS + κK`, then the ridge on the diagonal, where `c` holds `G`.
+///
+/// The penalty `S` and the constraint `K` are zero outside the
+/// term-diagonal blocks, so they are added on those blocks only. That
+/// is the dense sum bit for bit: there `λ·0 + κ·0` is +0 for finite κ,
+/// and x + (+0) = x for every x but −0.0, which a Gram summed from +0.0
+/// never holds.
+fn add_penalties(
+    c: &mut Matrix,
+    design: &Design,
+    constraint: &Matrix,
+    lambda: f64,
+    shifts: Shifts,
+) {
+    let p = c.rows();
+    for t in 0..design.terms.len() {
+        let (start, end) = design.term_cols(t);
+        for i in start..end {
+            let row = i * p + start..i * p + end;
+            let (pen, con) = (
+                &design.penalty.data()[row.clone()],
+                &constraint.data()[row.clone()],
+            );
+            for ((x, &a), &b) in c.data_mut()[row].iter_mut().zip(pen).zip(con) {
+                *x = *x + lambda * a + shifts.kappa * b;
+            }
+        }
+    }
+    for i in 0..p {
+        c[(i, i)] += shifts.ridge;
+    }
+}
+
+/// Factor the penalized system `C = G + λS + κK + ridge·I` in one p×p
+/// buffer. A jitter retry rebuilds `C` from `G` in that buffer.
 fn penalized_chol(
     g: &Matrix,
-    penalty: &Matrix,
-    lambda: f64,
+    design: &Design,
     constraint: &Matrix,
-    ridge: f64,
+    lambda: f64,
+    shifts: Shifts,
 ) -> Result<Cholesky> {
     let mut c = g.clone();
-    c.add_scaled(penalty, lambda)?;
-    // λ-independent constraint strength: strong enough to pin the
-    // aliased constant directions, orders of magnitude above the data
-    // curvature along them (which is shared with the intercept).
-    let p = c.rows();
-    let kappa = 10.0 * (0..p).map(|i| g[(i, i)].abs()).sum::<f64>() / p as f64;
-    c.add_scaled(constraint, kappa)?;
-    for i in 0..p {
-        c[(i, i)] += ridge;
-    }
-    Ok(Cholesky::factor_jittered(&c, 1e-10, 14)?)
+    add_penalties(&mut c, design, constraint, lambda, shifts);
+    let rebuild = |c: &mut Matrix| {
+        c.data_mut().copy_from_slice(g.data());
+        add_penalties(c, design, constraint, lambda, shifts);
+    };
+    Ok(Cholesky::factor_jittered_in_place(c, 1e-10, 14, rebuild)?)
 }
 
 /// What the grid-order telemetry and the fit summary read of one
@@ -532,10 +579,11 @@ fn beats(gcv: f64, index: usize, slot: Option<(f64, usize)>) -> bool {
     gcv.is_finite() && slot.is_none_or(|(held, at)| gcv < held || (gcv == held && index < at))
 }
 
-/// Invert the factored penalized system once; the inverse gives the
-/// effective degrees of freedom `tr(C⁻¹G) = ⟨C⁻¹, G⟩` (a Frobenius
-/// product, as `G` is symmetric) and, for the winner, the covariance.
-fn inverse_and_edf(chol: &Cholesky, g: &Matrix) -> (Matrix, f64) {
+/// Invert the factored penalized system once, in the factor's buffer;
+/// the inverse gives the effective degrees of freedom `tr(C⁻¹G) = ⟨C⁻¹,
+/// G⟩` (a Frobenius product, as `G` is symmetric) and, for the winner,
+/// the covariance.
+fn inverse_and_edf(chol: Cholesky, g: &Matrix) -> (Matrix, f64) {
     let inverse = gef_trace::time("gam.inverse", || chol.inverse());
     let edf = gef_linalg::matrix::dot(inverse.data(), g.data());
     (inverse, edf)
@@ -555,7 +603,7 @@ struct NormalEquations {
     b: Vec<f64>,
     yty: f64,
     n: usize,
-    ridge: f64,
+    shifts: Shifts,
 }
 
 impl NormalEquations {
@@ -574,13 +622,12 @@ impl NormalEquations {
         for &y in ys {
             yty += y * y;
         }
-        let ridge = ridge_for(&g);
         Ok(NormalEquations {
+            shifts: Shifts::of(&g),
             g,
             b,
             yty,
             n: rows.rows(),
-            ridge,
         })
     }
 }
@@ -588,17 +635,17 @@ impl NormalEquations {
 /// One penalized least-squares solve at `lambda`.
 fn gaussian_candidate(
     ne: &NormalEquations,
-    penalty: &Matrix,
+    design: &Design,
     lambda: f64,
     constraint: &Matrix,
 ) -> Result<Candidate> {
-    let chol = penalized_chol(&ne.g, penalty, lambda, constraint, ne.ridge)?;
+    let chol = penalized_chol(&ne.g, design, constraint, lambda, ne.shifts)?;
     let beta = chol.solve(&ne.b)?;
     let bt_b: f64 = beta.iter().zip(&ne.b).map(|(x, y)| x * y).sum();
     let g_beta = ne.g.matvec(&beta)?;
     let bt_g_b: f64 = beta.iter().zip(&g_beta).map(|(x, y)| x * y).sum();
     let rss = (ne.yty - 2.0 * bt_b + bt_g_b).max(0.0);
-    let (inverse, edf) = inverse_and_edf(&chol, &ne.g);
+    let (inverse, edf) = inverse_and_edf(chol, &ne.g);
     Ok(Candidate {
         record: CandidateRecord {
             gcv: gcv_score(ne.n, rss, edf),
@@ -625,7 +672,7 @@ fn logit_candidate(
     constraint: &Matrix,
 ) -> Result<Candidate> {
     let run = pirls_logit(design, rows, ys, lambda, max_iter, tol, constraint)?;
-    let (inverse, edf) = inverse_and_edf(&run.chol, &run.weighted_gram);
+    let (inverse, edf) = inverse_and_edf(run.chol, &run.weighted_gram);
     Ok(Candidate {
         record: CandidateRecord {
             gcv: gcv_score(rows.rows(), run.deviance, edf),
@@ -811,8 +858,7 @@ fn pirls_logit(
         }
         let (g, b) = rows.assemble(&blocks);
         drop(gram_span);
-        let ridge = ridge_for(&g);
-        let chol = penalized_chol(&g, &design.penalty, lambda, constraint, ridge)?;
+        let chol = penalized_chol(&g, design, constraint, lambda, Shifts::of(&g))?;
         let mut new_beta = chol.solve(&b)?;
         if gef_trace::fault::fires("pirls.iter") {
             // Simulated solver corruption: non-finite coefficients.
@@ -1687,9 +1733,8 @@ mod tests {
         let ne = NormalEquations::accumulate(&rows, &ys).unwrap();
         let mut oracle_best = (f64::INFINITY, f64::NAN);
         for lambda in default_grid() {
-            let cand = gaussian_candidate(&ne, &design.penalty, lambda, &constraint).unwrap();
-            let chol =
-                penalized_chol(&ne.g, &design.penalty, lambda, &constraint, ne.ridge).unwrap();
+            let cand = gaussian_candidate(&ne, &design, lambda, &constraint).unwrap();
+            let chol = penalized_chol(&ne.g, &design, &constraint, lambda, ne.shifts).unwrap();
             let gcv = check_edf(lambda, &cand, edf_by_column_solves(&chol, &ne.g), ne.n);
             if gcv < oracle_best.0 {
                 oracle_best = (gcv, lambda);

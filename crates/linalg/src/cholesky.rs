@@ -7,6 +7,13 @@
 //! system is symmetric positive definite for λ > 0 (up to identifiability
 //! constraints handled upstream), so Cholesky is both the fastest and the
 //! most numerically honest choice.
+//!
+//! The factor and the inverse work in place: the system's own storage
+//! becomes `L`, then `L⁻¹`, then `A⁻¹`. Their inner loops run on AVX2
+//! kernels where the machine has them, picked at run time (the build
+//! targets baseline x86-64), and on scalar loops elsewhere. Both give
+//! the same bits: each AVX2 lane adds the products the scalar loop adds
+//! to that entry, in the same order, as a multiply then an add.
 
 use crate::matrix::dot;
 use crate::{LinalgError, Matrix, Result};
@@ -25,38 +32,8 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is ≤ 0 (within a
     /// small tolerance scaled by the matrix magnitude).
     pub fn factor(a: &Matrix) -> Result<Self> {
-        if gef_trace::fault::fires("chol.factor") {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: 0,
-                value: f64::NAN,
-            });
-        }
-        if a.rows() != a.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Cholesky::factor (non-square)",
-                got: (a.rows(), a.cols()),
-                expected: (a.rows(), a.rows()),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            // Diagonal element.
-            let lrow_j = l.row(j);
-            let d = a[(j, j)] - dot(&lrow_j[..j], &lrow_j[..j]);
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
-            }
-            let dsqrt = d.sqrt();
-            l[(j, j)] = dsqrt;
-            // Column below the diagonal: each entry is the dot of the
-            // contiguous row-i and row-j prefixes.
-            for i in j + 1..n {
-                let data = l.data();
-                let s = a[(i, j)] - dot(&data[i * n..i * n + j], &data[j * n..j * n + j]);
-                l[(i, j)] = s / dsqrt;
-            }
-        }
+        let mut l = a.clone();
+        factor_in_place(&mut l)?;
         Ok(Cholesky { l })
     }
 
@@ -67,13 +44,29 @@ impl Cholesky {
     /// ×10 up to `max_tries` times) restores definiteness with a
     /// perturbation far below the statistical noise floor.
     pub fn factor_jittered(a: &Matrix, base: f64, max_tries: u32) -> Result<Self> {
+        Self::factor_jittered_in_place(a.clone(), base, max_tries, |m| {
+            m.data_mut().copy_from_slice(a.data())
+        })
+    }
+
+    /// [`Cholesky::factor_jittered`] in the system's own storage: `a`
+    /// becomes the factor, and no copy of the system is kept. A failed
+    /// attempt leaves `a` partly overwritten, so after each one
+    /// `rebuild` must write the system into it again.
+    pub fn factor_jittered_in_place(
+        mut a: Matrix,
+        base: f64,
+        max_tries: u32,
+        mut rebuild: impl FnMut(&mut Matrix),
+    ) -> Result<Self> {
         let _span = gef_trace::Span::enter("linalg.cholesky_jittered");
-        match Self::factor(a) {
-            Ok(c) => return Ok(c),
+        match factor_in_place(&mut a) {
+            Ok(()) => return Ok(Cholesky { l: a }),
             Err(LinalgError::NotPositiveDefinite { .. }) => {}
             Err(e) => return Err(e),
         }
         let n = a.rows();
+        rebuild(&mut a);
         let mean_diag = (0..n).map(|i| a[(i, i)].abs()).sum::<f64>() / n.max(1) as f64;
         let mut jitter = base * mean_diag.max(f64::MIN_POSITIVE);
         let mut last = LinalgError::NotPositiveDefinite {
@@ -82,14 +75,14 @@ impl Cholesky {
         };
         for _ in 0..max_tries {
             gef_trace::counter!("linalg.cholesky_jitter_retries").incr();
-            let mut aj = a.clone();
             for i in 0..n {
-                aj[(i, i)] += jitter;
+                a[(i, i)] += jitter;
             }
-            match Self::factor(&aj) {
-                Ok(c) => return Ok(c),
+            match factor_in_place(&mut a) {
+                Ok(()) => return Ok(Cholesky { l: a }),
                 Err(e) => last = e,
             }
+            rebuild(&mut a);
             jitter *= 10.0;
         }
         Err(last)
@@ -162,11 +155,12 @@ impl Cholesky {
     }
 
     /// Full inverse `A⁻¹` (the GAM's Bayesian covariance up to scale),
-    /// exactly symmetric.
+    /// exactly symmetric, formed in the factor's own storage.
     ///
     /// Two sweeps over contiguous rows, about n³/3 multiply-adds in all:
     /// `M = L⁻¹` row by row, then `A⁻¹ = Mᵀ M`, one output row at a time
-    /// on the upper triangle, mirrored into the lower one.
+    /// on the upper triangle, mirrored into the lower one. Each row
+    /// accumulates in one n-length scratch row.
     ///
     /// ```
     /// use gef_linalg::{Cholesky, Matrix};
@@ -178,77 +172,305 @@ impl Cholesky {
     /// assert!((inv[(1, 1)] - 0.5).abs() < 1e-15);
     /// assert_eq!(inv[(0, 1)], inv[(1, 0)]);
     /// ```
-    pub fn inverse(&self) -> Matrix {
-        let n = self.dim();
-        let l = self.l.data();
-        // Row i of L·M = I: M[i][..i] = −(Σ_{k<i} L[i][k]·M[k][..i]) / L[i][i]
-        // and M[i][i] = 1 / L[i][i]; row k of M is zero beyond column k.
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            let (done, rest) = m.data_mut().split_at_mut(i * n);
-            let row = &mut rest[..=i];
-            for (k, &lik) in l[i * n..i * n + i].iter().enumerate() {
-                for (r, &mkj) in row[..=k].iter_mut().zip(&done[k * n..=k * n + k]) {
-                    *r += lik * mkj;
-                }
-            }
-            let lii = l[i * n + i];
-            for r in &mut row[..i] {
-                *r = -*r / lii;
-            }
-            row[i] = 1.0 / lii;
+    pub fn inverse(self) -> Matrix {
+        let mut m = self.l;
+        let n = m.rows();
+        let (simd, mut scratch) = (Avx2::detect(), vec![0.0; n]);
+        lower_inverse(m.data_mut(), n, &mut scratch, simd);
+        upper_gram(m.data_mut(), n, &mut scratch, simd);
+        m.mirror_upper();
+        m
+    }
+}
+
+/// Proof that the AVX2 kernels can run on this machine: only
+/// [`Avx2::detect`] makes one, at run time, as the build targets
+/// baseline x86-64. The sweeps take an `Option<Avx2>`, so the tests can
+/// run the scalar loops on any machine, and safe code cannot pick the
+/// AVX2 kernels where they would fault.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Avx2(());
+
+impl Avx2 {
+    #[inline]
+    fn detect() -> Option<Avx2> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Some(Avx2(()));
         }
-        // (Mᵀ M)[a][b] = Σ_{k ≥ b} M[k][a]·M[k][b] for b ≥ a: output row a
-        // adds M[k][a]·M[k][a..=k] for every k ≥ a.
-        let mut inv = Matrix::zeros(n, n);
-        let md = m.data();
-        for (a, out) in inv.data_mut().chunks_exact_mut(n.max(1)).enumerate() {
-            let out = &mut out[a..];
-            for k in a..n {
-                let mk = &md[k * n + a..=k * n + k];
-                let mka = mk[0];
-                for (o, &mkb) in out.iter_mut().zip(mk) {
-                    *o += mka * mkb;
-                }
-            }
+        None
+    }
+}
+
+/// Factor the square matrix `a` in place: its lower triangle becomes
+/// `L` and its upper one is cleared. On failure `a` is partly
+/// overwritten.
+fn factor_in_place(a: &mut Matrix) -> Result<()> {
+    if gef_trace::fault::fires("chol.factor") {
+        return Err(LinalgError::NotPositiveDefinite {
+            pivot: 0,
+            value: f64::NAN,
+        });
+    }
+    if a.rows() != a.cols() {
+        return Err(LinalgError::DimensionMismatch {
+            context: "Cholesky::factor (non-square)",
+            got: (a.rows(), a.cols()),
+            expected: (a.rows(), a.rows()),
+        });
+    }
+    let n = a.rows();
+    factor_rows(a.data_mut(), n, Avx2::detect())
+}
+
+/// The factor's column sweep over the row-major n×n `m`. Column `j`
+/// reads only `m`'s lower triangle and the finished columns left of it,
+/// so `L` can overwrite the system entry by entry.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn factor_rows(m: &mut [f64], n: usize, simd: Option<Avx2>) -> Result<()> {
+    for j in 0..n {
+        let (top, below) = m.split_at_mut((j + 1) * n);
+        let row = &mut top[j * n..];
+        let d = row[j] - dot(&row[..j], &row[..j]);
+        if d <= 0.0 || !d.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
         }
-        inv.mirror_upper();
-        inv
+        let dsqrt = d.sqrt();
+        row[j] = dsqrt;
+        // Nothing reads row j's upper part again: clear it, so that `m`
+        // ends as `L` itself.
+        row[j + 1..].fill(0.0);
+        let lj = &row[..j];
+        #[cfg(target_arch = "x86_64")]
+        if simd.is_some() {
+            // SAFETY: an `Avx2` exists only where AVX2 was detected, and
+            // `lj` holds j < n entries.
+            unsafe { avx2::column(below, n, lj, dsqrt) };
+            continue;
+        }
+        column(below, n, lj, dsqrt);
+    }
+    Ok(())
+}
+
+/// One factor column below the diagonal: for every n-long row of
+/// `below`, `row[j] = (row[j] − row[..j]·lj) / dsqrt` with `j =
+/// lj.len()`, the dot of the contiguous row-i and row-j prefixes.
+fn column(below: &mut [f64], n: usize, lj: &[f64], dsqrt: f64) {
+    let j = lj.len();
+    for row in below.chunks_exact_mut(n) {
+        let s = row[j] - dot(&row[..j], lj);
+        row[j] = s / dsqrt;
+    }
+}
+
+/// `L` → `M = L⁻¹` in place in the row-major n×n `m`, whose upper
+/// triangle stays zero; `scratch` holds at least n entries.
+///
+/// Row i of L·M = I: M[i][..i] = −(Σ_{k<i} L[i][k]·M[k][..i]) / L[i][i]
+/// and M[i][i] = 1 / L[i][i]; row k of M is zero beyond column k. Row i
+/// reads L's row i and M's rows above it, so M overwrites L row by row.
+fn lower_inverse(m: &mut [f64], n: usize, scratch: &mut [f64], simd: Option<Avx2>) {
+    for i in 0..n {
+        let acc = &mut scratch[..i];
+        acc.fill(0.0);
+        tri_update(acc, m, n, 0, i * n, 1, simd);
+        let lii = m[i * n + i];
+        for (x, &r) in m[i * n..i * n + i].iter_mut().zip(acc.iter()) {
+            *x = -r / lii;
+        }
+        m[i * n + i] = 1.0 / lii;
+    }
+}
+
+/// Lower-triangular `M` → the upper triangle of `Mᵀ M`, in place in the
+/// row-major n×n `m` (its lower triangle is left stale); `scratch` holds
+/// at least n entries.
+///
+/// (Mᵀ M)[a][b] = Σ_{k ≥ b} M[k][a]·M[k][b] for b ≥ a: output row a adds
+/// M[k][a]·M[k][a..=k] for every k ≥ a. It reads only M's rows from a
+/// down, so it overwrites row a's upper part once it is summed; the one
+/// M entry there, M[a][a], is not read again.
+fn upper_gram(m: &mut [f64], n: usize, scratch: &mut [f64], simd: Option<Avx2>) {
+    for a in 0..n {
+        let acc = &mut scratch[..n - a];
+        acc.fill(0.0);
+        let diag = a * n + a;
+        tri_update(acc, m, n, diag, diag, n, simd);
+        m[diag..(a + 1) * n].copy_from_slice(acc);
+    }
+}
+
+/// The inner loop of both inverse sweeps: for t = 0, 1, … below
+/// `acc.len()`, in that order, `acc[..=t] += m[coefs + t·coef_step] ·
+/// m[rows + t·n..=rows + t·n + t]` (row t is a triangle row, one entry
+/// longer than row t − 1).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn tri_update(
+    acc: &mut [f64],
+    m: &[f64],
+    n: usize,
+    rows: usize,
+    coefs: usize,
+    coef_step: usize,
+    simd: Option<Avx2>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd.is_some() {
+        // SAFETY: an `Avx2` exists only where AVX2 was detected.
+        unsafe { avx2::tri_update(acc, m, n, rows, coefs, coef_step) };
+        return;
+    }
+    for t in 0..acc.len() {
+        let c = m[coefs + t * coef_step];
+        let row = &m[rows + t * n..=rows + t * n + t];
+        for (o, &r) in acc[..=t].iter_mut().zip(row) {
+            *o += c * r;
+        }
+    }
+}
+
+/// The AVX2 kernels. Each keeps the scalar loops' arithmetic entry by
+/// entry: a 256-bit register holds four independent entries (four
+/// `dot` lanes, or four accumulator columns), each step is a
+/// `_mm256_mul_pd` then a `_mm256_add_pd` (no FMA: the fused form rounds
+/// once, the scalar loops twice), and every entry receives its products
+/// in the scalar order. What changes is how many loads and stores the
+/// same operations take.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// `((l0 + l1) + l2) + l3`: the order `dot` joins its lanes in.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn join_lanes(v: __m256d) -> f64 {
+        let mut l = [0.0; 4];
+        // SAFETY: `l` holds four f64.
+        unsafe { _mm256_storeu_pd(l.as_mut_ptr(), v) };
+        l[0] + l[1] + l[2] + l[3]
     }
 
-    /// `log |A|` via the factor diagonal: `2 Σ log L_ii`.
-    pub fn log_det(&self) -> f64 {
-        let n = self.dim();
-        (0..n).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+    /// [`super::column`], four rows per pass: each row's four `dot`
+    /// lanes sit in one register, and the four rows share every load of
+    /// `lj`.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `below.len()` a multiple of n, and
+    /// `lj.len() < n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn column(below: &mut [f64], n: usize, lj: &[f64], dsqrt: f64) {
+        let j = lj.len();
+        let body = j / 4 * 4;
+        let mut quads = below.chunks_exact_mut(4 * n);
+        for quad in &mut quads {
+            let x = quad.as_ptr();
+            let y = lj.as_ptr();
+            let mut acc = [_mm256_setzero_pd(); 4];
+            for k in (0..body).step_by(4) {
+                // SAFETY: k + 4 <= body <= j < n, so every load stays in
+                // `lj` or in the j-long prefix of one of the four rows.
+                let yv = unsafe { _mm256_loadu_pd(y.add(k)) };
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let xv = unsafe { _mm256_loadu_pd(x.add(r * n + k)) };
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(xv, yv));
+                }
+            }
+            for (row, a) in quad.chunks_exact_mut(n).zip(acc) {
+                let mut s = join_lanes(a);
+                for (x, y) in row[body..j].iter().zip(&lj[body..]) {
+                    s += x * y;
+                }
+                row[j] = (row[j] - s) / dsqrt;
+            }
+        }
+        super::column(quads.into_remainder(), n, lj, dsqrt);
     }
 
-    /// Quadratic form `xᵀ A⁻¹ x` without materializing the inverse:
-    /// solve `L y = x` and return `‖y‖²`.
-    pub fn quad_inv(&self, x: &[f64]) -> Result<f64> {
-        let n = self.dim();
-        if x.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Cholesky::quad_inv",
-                got: (x.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        let data = self.l.data();
-        let mut y = x.to_vec();
-        for i in 0..n {
-            let mut s = y[i];
-            for k in 0..i {
-                s -= data[i * n + k] * y[k];
+    /// [`super::tri_update`], four triangle rows per pass: each
+    /// accumulator register takes the four rows' updates between one
+    /// load and one store. The body columns (those all four rows reach)
+    /// go four at a time; the fringe, where each row is one entry longer
+    /// than the last, and up to three leftover body columns go one entry
+    /// at a time, every entry still taking its updates in ascending row
+    /// order. The last `acc.len() % 4` rows go one at a time.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tri_update(
+        acc: &mut [f64],
+        m: &[f64],
+        n: usize,
+        rows: usize,
+        coefs: usize,
+        coef_step: usize,
+    ) {
+        let len = acc.len();
+        // Every accumulator access below goes through `o`, below `len`.
+        let o = acc.as_mut_ptr();
+        let mut t = 0;
+        while t + 4 <= len {
+            let c = [
+                m[coefs + t * coef_step],
+                m[coefs + (t + 1) * coef_step],
+                m[coefs + (t + 2) * coef_step],
+                m[coefs + (t + 3) * coef_step],
+            ];
+            let cv = c.map(|c| _mm256_set1_pd(c));
+            // Triangle rows t..t + 4: row t + q is entry q·n of `r` and
+            // holds t + q + 1 entries.
+            let r = &m[rows + t * n..=rows + (t + 3) * n + t + 3];
+            let body = (t + 1) / 4 * 4;
+            for col in (0..body).step_by(4) {
+                // SAFETY: col + 4 <= body <= t + 1 <= len, inside every
+                // row's entries and the accumulator.
+                unsafe {
+                    let mut v = _mm256_loadu_pd(o.add(col));
+                    for (q, cq) in cv.iter().enumerate() {
+                        let rv = _mm256_loadu_pd(r.as_ptr().add(q * n + col));
+                        v = _mm256_add_pd(v, _mm256_mul_pd(*cq, rv));
+                    }
+                    _mm256_storeu_pd(o.add(col), v);
+                }
             }
-            y[i] = s / data[i * n + i];
+            for col in body..t + 4 {
+                // SAFETY: col < t + 4 <= len.
+                let a = unsafe { &mut *o.add(col) };
+                // Row t + q reaches column col when q >= col − t.
+                for (q, &cq) in c.iter().enumerate().skip(col.saturating_sub(t)) {
+                    *a += cq * r[q * n + col];
+                }
+            }
+            t += 4;
         }
-        Ok(dot(&y, &y))
+        while t < len {
+            let c = m[coefs + t * coef_step];
+            let cv = _mm256_set1_pd(c);
+            let r = &m[rows + t * n..=rows + t * n + t];
+            let body = (t + 1) / 4 * 4;
+            for col in (0..body).step_by(4) {
+                // SAFETY: col + 4 <= body <= t + 1 = r.len() <= len.
+                unsafe {
+                    let v = _mm256_loadu_pd(o.add(col));
+                    let rv = _mm256_loadu_pd(r.as_ptr().add(col));
+                    _mm256_storeu_pd(o.add(col), _mm256_add_pd(v, _mm256_mul_pd(cv, rv)));
+                }
+            }
+            for (col, &x) in r.iter().enumerate().skip(body) {
+                // SAFETY: col <= t < len.
+                unsafe { *o.add(col) += c * x };
+            }
+            t += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gef_trace::rng::Rng;
 
     /// Build a random-ish SPD matrix deterministically: A = MᵀM + n·I.
     fn spd(n: usize) -> Matrix {
@@ -333,13 +555,50 @@ mod tests {
         ));
     }
 
+    /// A jitter retry in place rebuilds the system and factors it plus
+    /// the jitter: the factor is the one of the jittered copy, and the
+    /// rebuild runs once per failed attempt.
+    #[test]
+    fn in_place_jitter_retry_rebuilds_the_system() {
+        let mut a = spd(9);
+        for j in 0..9 {
+            a[(4, j)] = a[(3, j)];
+            a[(j, 4)] = a[(j, 3)];
+        }
+        // Rows 3 and 4 agree off the diagonal, where row 4 is 1 lower:
+        // the pivot at 4 is about −1.
+        a[(4, 4)] = a[(3, 3)] - 1.0;
+        let mut rebuilds = 0;
+        let ch = Cholesky::factor_jittered_in_place(a.clone(), 1e-10, 14, |m| {
+            rebuilds += 1;
+            m.data_mut().copy_from_slice(a.data());
+        })
+        .unwrap();
+        let mut jittered = a.clone();
+        let mean_diag = (0..9).map(|i| a[(i, i)].abs()).sum::<f64>() / 9.0;
+        let (mut jitter, mut failed) = (1e-10 * mean_diag, 0);
+        let want = loop {
+            for i in 0..9 {
+                jittered[(i, i)] = a[(i, i)] + jitter;
+            }
+            if let Ok(c) = Cholesky::factor(&jittered) {
+                break c;
+            }
+            jitter *= 10.0;
+            failed += 1;
+        };
+        assert_eq!(bits(ch.l().data()), bits(want.l().data()));
+        assert_eq!(rebuilds, 1 + failed);
+        assert!(failed > 0);
+    }
+
     #[test]
     fn inverse_times_original_is_identity() {
         for n in [1, 2, 7, 64, 293] {
             let a = spd(n);
             let ch = Cholesky::factor(&a).unwrap();
-            let inv = ch.inverse();
-            let scale = inv.max_abs();
+            let inv = ch.clone().inverse();
+            let scale = inv.data().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
             let prod = a.matmul(&inv).unwrap();
             let mut residual = 0.0f64; // ‖A·A⁻¹ − I‖∞ (max row sum)
             for i in 0..n {
@@ -366,26 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_2x2_closed_form() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let det: f64 = 4.0 * 3.0 - 1.0;
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - det.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quad_inv_matches_explicit() {
-        let a = spd(4);
-        let ch = Cholesky::factor(&a).unwrap();
-        let x = [1.0, -2.0, 0.5, 3.0];
-        let explicit = {
-            let s = ch.solve(&x).unwrap();
-            dot(&x, &s)
-        };
-        assert!((ch.quad_inv(&x).unwrap() - explicit).abs() < 1e-9);
-    }
-
-    #[test]
     fn inverse_solves_multiple_rhs() {
         let a = spd(4);
         let inv = Cholesky::factor(&a).unwrap().inverse();
@@ -401,6 +640,239 @@ mod tests {
         for i in 0..4 {
             for j in 0..2 {
                 assert!((ax[(i, j)] - b[(i, j)]).abs() < 1e-9);
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A = D (MᵀM + n·I) D with M uniform in [−1, 1) and D a diagonal of
+    /// scales from 10⁻³ to 10³, so the entries span many binades.
+    fn scaled_spd(n: usize, rng: &mut Rng) -> Matrix {
+        let m = Matrix::from_vec(n, n, (0..n * n).map(|_| 2.0 * rng.unit() - 1.0).collect());
+        let mut a = m.unwrap().gram();
+        let d: Vec<f64> = (0..n).map(|_| 10f64.powf(6.0 * rng.unit() - 3.0)).collect();
+        for i in 0..n {
+            a[(i, i)] += n as f64;
+            for j in 0..n {
+                a[(i, j)] *= d[i] * d[j];
+            }
+        }
+        a
+    }
+
+    /// The k cubic B-splines on uniform knots over [0, 1] at x: the
+    /// index of the first of the four that are non-zero, and their
+    /// values.
+    fn cubic_bspline(x: f64, k: usize) -> (usize, [f64; 4]) {
+        let u = x * (k - 3) as f64;
+        let s = (u.floor() as usize).min(k - 4);
+        let f = u - s as f64;
+        let g = 1.0 - f;
+        let cubes = [
+            g * g * g,
+            3.0 * f * f * f - 6.0 * f * f + 4.0,
+            -3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0,
+            f * f * f,
+        ];
+        (s, cubes.map(|c| c / 6.0))
+    }
+
+    /// Second-order difference penalty `DᵀD` on k coefficients.
+    fn difference_penalty(k: usize) -> Matrix {
+        let mut s = Matrix::zeros(k, k);
+        for r in 0..k - 2 {
+            for (a, da) in [(r, 1.0), (r + 1, -2.0), (r + 2, 1.0)] {
+                for (b, db) in [(r, 1.0), (r + 1, -2.0), (r + 2, 1.0)] {
+                    s[(a, b)] += da * db;
+                }
+            }
+        }
+        s
+    }
+
+    /// A penalized P-spline GAM system of `distill_tensor`'s shape
+    /// (p = 293): an intercept, five cubic splines of 20 and three 8×8
+    /// cubic tensors over 2,000 seeded rows. `XᵀX + λS + κK + ridge·I`,
+    /// with second-difference penalties (`S₁ ⊗ I + I ⊗ S₂` on a tensor),
+    /// a sum-to-zero constraint `c cᵀ / ‖c‖²` per term, λ = 10⁻³, κ ten
+    /// times and the ridge 10⁻⁷ times `XᵀX`'s mean diagonal.
+    fn gam_system() -> Matrix {
+        const K: usize = 20;
+        const KT: usize = 8;
+        let splines = [0, 1, 2, 3, 4];
+        let tensors = [(0, 1), (2, 3), (1, 4)];
+        let mut blocks = vec![];
+        let mut col = 1;
+        for _ in splines {
+            blocks.push((col, K));
+            col += K;
+        }
+        for _ in tensors {
+            blocks.push((col, KT * KT));
+            col += KT * KT;
+        }
+        let p = col;
+        let mut rng = Rng::seed(293);
+        let mut c = Matrix::zeros(p, p);
+        let mut means = vec![0.0; p];
+        let rows = 2000;
+        for _ in 0..rows {
+            let x: Vec<f64> = (0..5).map(|_| rng.unit()).collect();
+            let mut nz = vec![(0, 1.0)];
+            for (&f, &(off, _)) in splines.iter().zip(&blocks) {
+                let (s, b) = cubic_bspline(x[f], K);
+                nz.extend((0..4).map(|q| (off + s + q, b[q])));
+            }
+            for (&(fa, fb), &(off, _)) in tensors.iter().zip(&blocks[splines.len()..]) {
+                let ((sa, ba), (sb, bb)) = (cubic_bspline(x[fa], KT), cubic_bspline(x[fb], KT));
+                for (qa, &va) in ba.iter().enumerate() {
+                    nz.extend((0..4).map(|qb| (off + (sa + qa) * KT + sb + qb, va * bb[qb])));
+                }
+            }
+            for &(j, v) in &nz {
+                means[j] += v / rows as f64;
+            }
+            c.syr_upper_sparse(&nz, 1.0);
+        }
+        c.mirror_upper();
+        let mean_diag = (0..p).map(|i| c[(i, i)]).sum::<f64>() / p as f64;
+        let (lambda, kappa) = (1e-3, 10.0 * mean_diag);
+        let (s1, st) = (difference_penalty(K), difference_penalty(KT));
+        for &(off, k) in &blocks {
+            let norm2: f64 = means[off..off + k].iter().map(|m| m * m).sum();
+            for a in 0..k {
+                for b in 0..k {
+                    let s = if k == K {
+                        s1[(a, b)]
+                    } else {
+                        let (ia, ja, ib, jb) = (a / KT, a % KT, b / KT, b % KT);
+                        f64::from(ja == jb) * st[(ia, ib)] + f64::from(ia == ib) * st[(ja, jb)]
+                    };
+                    let constraint = means[off + a] * means[off + b] / norm2;
+                    c[(off + a, off + b)] += lambda * s + kappa * constraint;
+                }
+            }
+        }
+        for i in 0..p {
+            c[(i, i)] += 1e-7 * mean_diag;
+        }
+        c
+    }
+
+    /// What one path gives on a system, as bits.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        /// The failing pivot, its value and the partly factored matrix.
+        Failed(usize, u64, Vec<u64>),
+        /// The factor, a solve on it, `L⁻¹` and `A⁻¹`, the last two in
+        /// the factor's storage.
+        Factored([Vec<u64>; 4]),
+    }
+
+    /// The factor, the solve and both inverse sweeps on one path. The
+    /// inverse must also equal [`two_buffer_inverse`]'s, bit for bit.
+    fn run_path(a: &Matrix, simd: Option<Avx2>) -> Outcome {
+        let n = a.rows();
+        let mut m = a.data().to_vec();
+        match factor_rows(&mut m, n, simd) {
+            Ok(()) => {}
+            Err(LinalgError::NotPositiveDefinite { pivot, value }) => {
+                return Outcome::Failed(pivot, value.to_bits(), bits(&m))
+            }
+            Err(e) => panic!("{e}"),
+        }
+        let ch = Cholesky {
+            l: Matrix::from_vec(n, n, m.clone()).unwrap(),
+        };
+        let x = ch.solve(&(0..n).map(|i| i as f64 - 3.5).collect::<Vec<_>>());
+        let mut scratch = vec![0.0; n];
+        lower_inverse(&mut m, n, &mut scratch, simd);
+        let lower = bits(&m);
+        upper_gram(&mut m, n, &mut scratch, simd);
+        let mut inv = Matrix::from_vec(n, n, m).unwrap();
+        inv.mirror_upper();
+        let inverse = bits(inv.data());
+        assert_eq!(inverse, bits(two_buffer_inverse(ch.l()).data()), "n={n}");
+        Outcome::Factored([bits(ch.l().data()), bits(&x.unwrap()), lower, inverse])
+    }
+
+    /// The inverse as two separate buffers: `M = L⁻¹` in a zeroed matrix,
+    /// then `MᵀM` into another. It is the algorithm the in-place sweeps
+    /// restate, kept here to show that they keep its bits.
+    fn two_buffer_inverse(l: &Matrix) -> Matrix {
+        let n = l.rows();
+        let l = l.data();
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            let (done, rest) = m.data_mut().split_at_mut(i * n);
+            let row = &mut rest[..=i];
+            for (k, &lik) in l[i * n..i * n + i].iter().enumerate() {
+                for (r, &mkj) in row[..=k].iter_mut().zip(&done[k * n..=k * n + k]) {
+                    *r += lik * mkj;
+                }
+            }
+            let lii = l[i * n + i];
+            for r in &mut row[..i] {
+                *r = -*r / lii;
+            }
+            row[i] = 1.0 / lii;
+        }
+        let mut inv = Matrix::zeros(n, n);
+        let md = m.data();
+        for (a, out) in inv.data_mut().chunks_exact_mut(n.max(1)).enumerate() {
+            let out = &mut out[a..];
+            for k in a..n {
+                let mk = &md[k * n + a..=k * n + k];
+                for (o, &mkb) in out.iter_mut().zip(mk) {
+                    *o += mk[0] * mkb;
+                }
+            }
+        }
+        inv.mirror_upper();
+        inv
+    }
+
+    /// The AVX2 kernels give the scalar loops' bits: the factor, a solve
+    /// on it, `L⁻¹`, `A⁻¹`, and the failing pivot and its value, at every
+    /// size up to 40 (each residue mod 4, in every kernel's row and
+    /// column blocking), 64–67, the GAM sizes 73, 101 and 293, and on a
+    /// penalized GAM system. The scalar inverse keeps the two-buffer
+    /// algorithm's bits. Without AVX2 only the scalar half runs.
+    #[test]
+    fn avx2_kernels_match_the_scalar_loops_bit_for_bit() {
+        let simd = Avx2::detect();
+        if simd.is_none() {
+            eprintln!("no AVX2 on this machine: checking the scalar loops only");
+        }
+        let mut rng = Rng::seed(0xc401);
+        let sizes = (0..=40).chain(64..=67).chain([73, 101, 293]);
+        let mut cases: Vec<(String, Matrix)> = sizes
+            .flat_map(|n| {
+                let a = scaled_spd(n, &mut rng);
+                // A pivot that fails: with A[k][k] negative, the pivot
+                // A[k][k] − ‖L[k][..k]‖² is negative too.
+                let mut bad = a.clone();
+                if n > 0 {
+                    let k = rng.below(n as u64) as usize;
+                    bad[(k, k)] *= -0.5;
+                }
+                [
+                    (format!("spd n={n}"), a),
+                    (format!("indefinite n={n}"), bad),
+                ]
+            })
+            .collect();
+        cases.push(("GAM system".into(), gam_system()));
+        for (name, a) in &cases {
+            let scalar = run_path(a, None);
+            if let Outcome::Failed(pivot, ..) = scalar {
+                assert!(name.starts_with("indefinite"), "{name}: pivot {pivot}");
+            }
+            if simd.is_some() {
+                assert_eq!(run_path(a, simd), scalar, "{name}");
             }
         }
     }

@@ -11,14 +11,17 @@
 //! * [`Matrix`] — dense row-major `f64` matrix with the handful of
 //!   operations the workspace needs (mat-mul, transpose, symmetric rank
 //!   updates).
-//! * [`Cholesky`] — LLᵀ factorization with solve / inverse / log-det,
-//!   plus a jittered variant for nearly-singular penalized systems.
+//! * [`Cholesky`] — LLᵀ factorization with solve and inverse, plus a
+//!   jittered variant for nearly-singular penalized systems. The factor
+//!   and the inverse work in the system's own storage, on AVX2 kernels
+//!   where the machine has them, with the scalar loops' bits.
 //! * [`stats`] — descriptive statistics, quantiles, Student-t and normal
 //!   distribution functions, Welch's t-test.
 //! * [`special`] — log-gamma and the regularized incomplete beta
 //!   function backing the t-distribution CDF.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cholesky;
 pub mod matrix;

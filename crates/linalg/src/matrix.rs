@@ -150,28 +150,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed matrix-vector product `selfᵀ * x`.
-    pub fn tr_matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Matrix::tr_matvec",
-                got: (x.len(), 1),
-                expected: (self.rows, 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            for (o, &r) in out.iter_mut().zip(row) {
-                *o += xi * r;
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix-matrix product `self * other`.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
@@ -270,26 +248,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Element-wise `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f64) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Matrix::add_scaled",
-                got: (other.rows, other.cols),
-                expected: (self.rows, self.cols),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-        Ok(())
-    }
-
-    /// Maximum absolute element (∞-norm over entries).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -374,14 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn tr_matvec_matches_transpose_matvec() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let a = m.tr_matvec(&[1.0, -2.0]).unwrap();
-        let b = m.transpose().matvec(&[1.0, -2.0]).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn matmul_identity() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let p = m.matmul(&Matrix::identity(2)).unwrap();
@@ -421,16 +371,6 @@ mod tests {
         a.mirror_upper();
         b.mirror_upper();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn add_scaled_and_max_abs() {
-        let mut a = Matrix::identity(2);
-        let b = Matrix::identity(2);
-        a.add_scaled(&b, 2.0).unwrap();
-        assert_eq!(a[(0, 0)], 3.0);
-        assert_eq!(a.max_abs(), 3.0);
-        assert!(a.add_scaled(&Matrix::zeros(3, 3), 1.0).is_err());
     }
 
     #[test]

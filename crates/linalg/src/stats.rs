@@ -56,13 +56,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Quantile of an unsorted slice (sorts a copy).
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    quantile_sorted(&v, q)
-}
-
 /// Pearson correlation coefficient of two equal-length slices.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
@@ -174,10 +167,10 @@ mod tests {
     #[test]
     fn quantile_type7() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 1.0), 4.0);
-        assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
-        assert!((quantile(&xs, 0.25) - 1.75).abs() < 1e-12); // numpy: 1.75
+        assert_eq!(quantile_sorted(&xs, 0.0), 1.0);
+        assert_eq!(quantile_sorted(&xs, 1.0), 4.0);
+        assert!((quantile_sorted(&xs, 0.5) - 2.5).abs() < 1e-12);
+        assert!((quantile_sorted(&xs, 0.25) - 1.75).abs() < 1e-12); // numpy: 1.75
     }
 
     #[test]

@@ -44,27 +44,13 @@ fn cholesky_solves_random_spd_systems() {
         for (p, q) in ax.iter().zip(&rhs) {
             assert!((p - q).abs() < 1e-8, "seed {seed}: residual too large");
         }
-        // log|A| is finite and the inverse is symmetric.
-        assert!(ch.log_det().is_finite(), "seed {seed}");
+        // The inverse is symmetric.
         let inv = ch.inverse();
         for i in 0..5 {
             for j in 0..5 {
                 assert!((inv[(i, j)] - inv[(j, i)]).abs() < 1e-8, "seed {seed}");
             }
         }
-    }
-}
-
-#[test]
-fn quad_inv_is_nonnegative() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed(seed);
-        let coeffs = uniform_vec(&mut rng, 16, -2.0, 2.0);
-        let x = uniform_vec(&mut rng, 4, -5.0, 5.0);
-        let a = spd_from(&coeffs, 4);
-        let ch = Cholesky::factor(&a).unwrap();
-        // xᵀA⁻¹x >= 0 for SPD A.
-        assert!(ch.quad_inv(&x).unwrap() >= -1e-10, "seed {seed}");
     }
 }
 
