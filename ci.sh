@@ -187,6 +187,25 @@ step "cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-s
     cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace \
     -p gef-linalg --lib --features gef-trace/alloc-track -- -D warnings
 
+# The QuickScorer kernel runs the widest tier the machine has (AVX-512F
+# with AVX-512CD, then AVX2, then scalar). Its tier test checks every
+# tier the machine runs against the walker, skips the others, and names
+# the tiers it checked once all of them match; the summary repeats that
+# line, so a green run on a smaller machine visibly did not check the
+# wider tiers.
+kernel_tier_log=""
+kernel_tier_test() {
+    kernel_tier_log=$(cargo test --offline -q -p gef-forest --lib \
+        every_tier_labels_as_the_walker -- --nocapture 2>&1)
+    local status=$?
+    printf '%s\n' "$kernel_tier_log"
+    return $status
+}
+step "QuickScorer kernel tiers against the walker" kernel_tier_test
+
+kernel_tiers=$(sed -n 's/^QuickScorer tiers matching the walker: //p' <<< "$kernel_tier_log")
+echo "QuickScorer kernel tiers checked on this machine: ${kernel_tiers:-none (the tier test failed)}"
+
 if ((${#failed[@]})); then
     echo "CI gate failed: ${#failed[@]} step(s)" >&2
     printf '  %s\n' "${failed[@]}" >&2

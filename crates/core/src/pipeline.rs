@@ -292,9 +292,12 @@ impl GefExplainer {
     /// dump captures the trip state, the armed fault schedule, and the
     /// flight recorder's last window of activity.
     fn explain_coded(&self, forest: &Forest) -> Result<(GefExplanation, CodedDataset)> {
+        // One pass over every node, shared by the incident context and
+        // the provenance.
+        let forest_digest = forest.content_digest();
         let ctx = IncidentContext {
             config_digest: Some(self.config.content_digest()),
-            forest_digest: Some(forest.content_digest()),
+            forest_digest: Some(forest_digest),
             seed: Some(self.config.seed),
         };
         // Arm the env-configured deadlines (`GEF_DEADLINE_MS` & co.) as
@@ -302,7 +305,7 @@ impl GefExplainer {
         // scoped `RunBudget::enter`, as gef-serve does per request) —
         // the guard leaves scope when this run returns, on every path.
         let _budget_guard = (!gef_trace::budget::active()).then(|| RunBudget::from_env().enter());
-        let result = self.run_pipeline(forest);
+        let result = self.run_pipeline(forest, forest_digest);
         if let Err(err) = &result {
             incident::dump_error(err, &ctx);
         }
@@ -311,8 +314,12 @@ impl GefExplainer {
 
     /// The pipeline proper, separated from [`Self::explain_coded`] so
     /// its `Err` path can be incident-dumped while the budget guard is
-    /// still armed.
-    fn run_pipeline(&self, forest: &Forest) -> Result<(GefExplanation, CodedDataset)> {
+    /// still armed. `forest_digest` is `forest`'s content digest.
+    fn run_pipeline(
+        &self,
+        forest: &Forest,
+        forest_digest: u64,
+    ) -> Result<(GefExplanation, CodedDataset)> {
         let cfg = &self.config;
         cfg.validate()?;
         let _span = gef_trace::Span::enter("pipeline.explain");
@@ -572,7 +579,7 @@ impl GefExplainer {
         let provenance = Provenance {
             schema_version: 1,
             config_digest: gef_trace::hash::to_hex(cfg.content_digest()),
-            forest_digest: gef_trace::hash::to_hex(forest.content_digest()),
+            forest_digest: gef_trace::hash::to_hex(forest_digest),
             gam_digest: gef_trace::hash::to_hex(gam.content_digest()),
             seed: cfg.seed,
             threads: gef_par::threads() as u64,

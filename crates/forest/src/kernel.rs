@@ -40,19 +40,31 @@
 //! traversal at all.
 //!
 //! Mask application is lane-parallel: sub-blocks of [`QS_SUB`] rows
-//! share one walk of each feature's entry stream, bitvectors stored
-//! tree-major (`bv[t·QS_SUB + lane]`) so one entry's lanes are
-//! contiguous. The stream is walked to the *maximum* cutoff of the
-//! sub-block — lanes past their own cutoff AND the all-ones identity —
-//! which visits ~8× fewer entries than per-lane walks on the paper
-//! forest. On x86-64 with AVX2 (runtime-detected; the build stays
-//! baseline x86-64) the 16 lanes are two 256-bit vectors: broadcast
-//! mask, compare-gt of lane cutoffs against the entry counter, blend
-//! with identity, AND — `qs_apply_avx2`. Elsewhere a row-major
-//! scalar loop (`qs_apply_scalar`) applies each lane's own prefix.
-//! Finalize reads slot-aligned leaf payloads (`leaf_value`,
-//! `leaf_depth1` in the layout's QS tables) indexed directly by
-//! `trailing_zeros` — no node→code→dictionary gather chain.
+//! share one walk of each feature's entry stream, and each tree's 16
+//! bitvectors sit in one 64-byte-aligned stripe (one cache line), so
+//! one entry's lanes are one line. A lane past its own cutoff keeps its
+//! bits, which visits ~8× fewer entries than per-lane walks on the
+//! paper forest. The loops come in three tiers, picked at run time (the
+//! build stays baseline x86-64) by private proof tokens that only
+//! detection makes:
+//!
+//! - **AVX-512** (AVX-512F and AVX-512CD): per entry, one lane compare
+//!   of the cutoffs against the entry's index into a mask register and
+//!   one merge-masked AND of the stripe; the finalize finds all 16 exit
+//!   slots at once and gathers their leaf values.
+//! - **AVX2**: per entry, the same lanes in two 256-bit halves (compare,
+//!   OR the identity into the mask of lanes past their cutoff, AND);
+//!   scalar finalize.
+//! - **Scalar**: each lane walks its own prefix; scalar finalize.
+//!
+//! Each SIMD tier runs a whole sub-block's application in one call,
+//! looping over the features itself, and walks each feature's whole
+//! entry list rather than stopping at the sub-block's largest cutoff:
+//! on `D*` the largest of 16 cutoffs is close to the list's end, and a
+//! trip count fixed per feature keeps the loop exits predictable (see
+//! DESIGN.md "Inference kernel"). Finalize reads slot-aligned leaf
+//! payloads (`leaf_value`, `leaf_depth1` in the layout's QS tables)
+//! indexed directly by the exit slot — no node→code→dictionary chain.
 //!
 //! ## Two rank sources
 //!
@@ -62,14 +74,17 @@
 //! everything after the fill is one body:
 //!
 //! - **Rows** (`&[Vec<f64>]`, every `predict_*` entry point): the
-//!   branchless binary search `rank` per (row, feature) cell.
+//!   branchless binary search `rank` per (row, feature) cell, clamped
+//!   to the feature's entry count on the QS path.
 //! - **Domain codes** (`D*`, through [`crate::Forest::domain_labeler`]):
-//!   every `D*` cell is one of its feature's domain values, so the rank
-//!   of each domain value is searched once per `D*` into a per-feature
-//!   code table, and the fill reads `table[code]`. The tables hold the
-//!   same unclamped rank the search returns for that value; the QS fill
-//!   clamps either source's rank to the feature's entry count, so both
-//!   give identical cutoffs and the labels are bit-identical.
+//!   every `D*` cell is one of its feature's domain values, so each
+//!   domain value's cutoff is computed once per `D*` into one flat
+//!   code→cutoff table, and the fill reads it row by row, in the order
+//!   the codes are stored. The table holds the clamped rank, the cutoff
+//!   the QS fill computes from the value itself, so both sources give
+//!   identical cutoffs and the labels are bit-identical; descent
+//!   compares it against node ranks below the clamp, so it routes as
+//!   the unclamped rank would.
 //!
 //! ## Rank-quantized predicated descent (wide-tree fallback)
 //!
@@ -119,34 +134,39 @@
 //! work (order-independent by commutativity of `&`), and each row
 //! keeps a private `f64` accumulator folded in global tree order —
 //! descent visits tree blocks and trees within a block in order, QS
-//! finalize reads each row's surviving leaf tree by tree — so both
-//! compute `((0.0 + t0(x)) + t1(x)) + …`, the exact fold of the
+//! finalize adds each row's exit leaf tree by tree (the AVX-512 tier 16
+//! rows at a time, one lane each) — so both compute
+//! `((0.0 + t0(x)) + t1(x)) + …`, the exact fold of the
 //! walker's `trees.iter().map(..).sum::<f64>()`, then
 //! `base + scale * Σ` and the objective transform, in that order. The
-//! AVX2 and scalar mask loops produce identical bitvectors, so SIMD
-//! dispatch never changes output either. Rows are embarrassingly
+//! three tiers compute identical bitvectors and exit slots, so the tier
+//! never changes output either. Rows are embarrassingly
 //! parallel, so gef-par's fixed [`gef_par::chunk_ranges`] boundaries
 //! (a pure function of the batch length) only decide *which worker*
 //! computes a row, never *how*. Predictions are therefore bit-identical
 //! to the recursive walker at any thread count — the property the
-//! differential-oracle suite (`tests/kernel_oracle.rs`) asserts.
+//! differential-oracle suite (`tests/kernel_oracle.rs`) asserts, and
+//! `every_tier_labels_as_the_walker` for each tier separately.
 //!
 //! ## Safety
 //!
-//! The hot loops use unchecked indexing. Every index is closed over by
-//! [`FlatForest::build`]'s validation: child indices stay inside the
-//! node arrays (self-loops included), leaf-value dictionary codes are
-//! dense by construction, and internal features are `< num_features`,
-//! so `r·nf + feat` stays inside the per-block rank table. The rank
-//! fill reads rows, codes and code tables with checked indexing, so a
-//! row narrower than the forest panics there, like the walker.
-//! On the QS path, rank results are clamped to each feature's entry
-//! count before use as cutoffs, entry `tree` halves index the
-//! `trees`-sized bitvector array they were built from, and the exit
+//! The descent loops and the SIMD tiers use unchecked indexing; the
+//! scalar QuickScorer tier, the tests' reference, indexes with checks.
+//! Every index is closed over by [`FlatForest::build`]'s validation:
+//! child indices stay inside the node arrays (self-loops included),
+//! leaf-value dictionary codes are dense by construction, and internal
+//! features are `< num_features`, so `r·nf + feat` stays inside the
+//! per-block rank table. The rank fill reads rows and codes with
+//! checked indexing, so a row narrower than the forest or a code
+//! outside its domain panics there, like the walker. On the QS path,
+//! cutoffs are clamped to each feature's entry count, entries are read
+//! through their feature's slice, entry `tree` halves index the
+//! one-stripe-per-tree array built from the same trees, and each exit
 //! slot is clamped to `leaf_count − 1` before the slot-aligned payload
-//! gather — each tree keeps ≥ 1 surviving leaf by the QuickScorer
-//! exit-leaf theorem, and the clamp makes the gather in-bounds even
-//! without it.
+//! read or gather — each tree keeps ≥ 1 surviving leaf by the
+//! QuickScorer exit-leaf theorem, and the clamp keeps the read in
+//! bounds even without it. The SIMD loops run only behind their
+//! detection tokens.
 
 use crate::layout::{FlatForest, QsTables};
 use crate::LabelScale;
@@ -225,10 +245,10 @@ pub(crate) fn chunk<S: Ranks>(
 struct Scratch {
     /// Descent: the row block's feature ranks, `xr[r · nf + f]`.
     xr: Vec<u32>,
-    /// QuickScorer: the sub-block's cutoff lanes, feature-major.
-    cutt: Vec<[i32; QS_SUB]>,
-    /// QuickScorer: the sub-block's leaf bitvectors, tree-major.
-    bv: Vec<u32>,
+    /// QuickScorer: the sub-block's cutoffs, one stripe per feature.
+    cuts: Vec<Stripe>,
+    /// QuickScorer: the sub-block's leaf bitvectors, one stripe per tree.
+    bv: Vec<Stripe>,
 }
 
 thread_local! {
@@ -276,9 +296,14 @@ fn rank(table: &[f64], x: f64) -> u32 {
 /// labelling `f64` rows and labelling domain codes; mask application,
 /// descent and finalize are one body for both.
 pub(crate) trait Ranks: Sync {
-    /// Rank of row `r`'s feature `f` in `table`, feature `f`'s sorted
-    /// table in the layout (QS entries or descent thresholds).
+    /// Descent: rank of row `r`'s feature `f` in `table`, feature `f`'s
+    /// sorted descent thresholds.
     fn rank(&self, r: usize, f: usize, table: &[f64]) -> u32;
+
+    /// QuickScorer: lane `rl` of `cuts[f]` receives row `first + rl`'s
+    /// cutoff for feature `f` (its rank among `qs`'s entries for `f`,
+    /// clamped to their count) for `rl < sn`; lanes from `sn` on hold 0.
+    fn cutoffs(&self, qs: &QsTables, first: usize, sn: usize, cuts: &mut [Stripe]);
 }
 
 /// Ranks searched for in materialized `f64` rows.
@@ -289,49 +314,87 @@ impl Ranks for Rows<'_> {
     fn rank(&self, r: usize, f: usize, table: &[f64]) -> u32 {
         rank(table, self.0[r][f])
     }
+
+    fn cutoffs(&self, qs: &QsTables, first: usize, sn: usize, cuts: &mut [Stripe]) {
+        // Feature-major, so each entry list is searched while hot and
+        // the independent search chains overlap.
+        for (f, lanes) in cuts.iter_mut().enumerate() {
+            let table = qs.thresholds(f);
+            let len = table.len() as u32;
+            *lanes = Stripe::ZERO;
+            for (lane, x) in lanes.0.iter_mut().zip(&self.0[first..first + sn]) {
+                *lane = rank(table, x[f]).min(len);
+            }
+        }
+    }
 }
 
-/// Per-feature code→rank tables for one layout and one set of sampling
-/// domains: `ranks[f][k]` is the rank of `domains[f][k]` in feature
-/// `f`'s table — the QS entry table when the layout has one, else the
-/// descent threshold table — exactly what [`rank`] returns for that
-/// value. An empty domain stands for the constant 0.0 at code 0. The
-/// kernel clamps a code's rank just as it clamps a searched one, so
-/// both sources give the same cutoffs.
+/// One flat code→cutoff table for one layout and one set of sampling
+/// domains: feature `f`'s code `k` maps to `cuts[base + k]`, with
+/// `(base, len) = spans[f]` and `len` the domain's size. The entry is
+/// [`rank`] of `domains[f][k]` in feature `f`'s table — the QS entry
+/// table when the layout has one, else the descent threshold table —
+/// clamped to that table's length, which is the QS cutoff the kernel
+/// would compute from the value itself. Descent compares the clamped
+/// rank against node ranks below the length, so it routes as the
+/// unclamped one (NaN's `u32::MAX` included) would. An empty domain
+/// stands for the constant 0.0 at code 0.
 #[derive(Debug, Default)]
 pub(crate) struct CodeTables {
-    ranks: Vec<Vec<u32>>,
+    spans: Vec<(usize, usize)>,
+    cuts: Vec<u32>,
 }
 
 impl CodeTables {
-    /// Tables for `domains` (one per feature of `flat`) against `flat`.
+    /// The table for `domains` (one per feature of `flat`) against `flat`.
     pub(crate) fn build(flat: &FlatForest, domains: &[Vec<f64>]) -> CodeTables {
-        let ranks = domains
-            .iter()
-            .enumerate()
-            .map(|(f, dom)| {
-                let table = match &flat.qs {
-                    Some(qs) => &qs.thr[qs.offsets[f] as usize..qs.offsets[f + 1] as usize],
-                    None => {
-                        &flat.ft_values
-                            [flat.ft_offsets[f] as usize..flat.ft_offsets[f + 1] as usize]
-                    }
-                };
-                if dom.is_empty() {
-                    vec![rank(table, 0.0)]
-                } else {
-                    dom.iter().map(|&v| rank(table, v)).collect()
+        let mut tables = CodeTables::default();
+        for (f, dom) in domains.iter().enumerate() {
+            let table = match &flat.qs {
+                Some(qs) => qs.thresholds(f),
+                None => {
+                    &flat.ft_values[flat.ft_offsets[f] as usize..flat.ft_offsets[f + 1] as usize]
                 }
-            })
-            .collect();
-        CodeTables { ranks }
+            };
+            // Table lengths fit u32: the layout indexes both with u32.
+            let len = table.len() as u32;
+            let base = tables.cuts.len();
+            if dom.is_empty() {
+                tables.cuts.push(rank(table, 0.0).min(len));
+            } else {
+                tables
+                    .cuts
+                    .extend(dom.iter().map(|&v| rank(table, v).min(len)));
+            }
+            tables.spans.push((base, tables.cuts.len() - base));
+        }
+        tables
     }
+
+    /// The cutoff of code `k` of the feature whose span is `(base, len)`.
+    ///
+    /// # Panics
+    /// If `k` is outside the feature's domain.
+    #[inline]
+    fn cut(&self, (base, len): (usize, usize), k: usize) -> u32 {
+        if k >= len {
+            code_out_of_range(k, len);
+        }
+        self.cuts[base + k]
+    }
+}
+
+/// The panic of a code outside its domain, kept out of the fill loop.
+#[cold]
+#[inline(never)]
+fn code_out_of_range(k: usize, len: usize) -> ! {
+    panic!("domain code {k} out of range for a domain of {len} values")
 }
 
 /// Rows given as domain codes: row `r`'s feature `f` is domain value
 /// `codes[r · nf + f]` of `domains[f]`, row-major over the `nf =
 /// domains.len()` features, an empty domain standing for 0.0 at code 0.
-/// The kernel reads each cell's rank from `tables`, which are empty
+/// The kernel reads each cell's cutoff from `tables`, which are empty
 /// when the rows are walked instead.
 pub(crate) struct Codes<'a, C> {
     pub(crate) codes: &'a [C],
@@ -362,7 +425,25 @@ impl<C: Copy + Into<u32>> Codes<'_, C> {
 impl<C: Copy + Into<u32> + Sync> Ranks for Codes<'_, C> {
     #[inline]
     fn rank(&self, r: usize, f: usize, _table: &[f64]) -> u32 {
-        self.tables.ranks[f][self.code(r, f)]
+        self.tables.cut(self.tables.spans[f], self.code(r, f))
+    }
+
+    fn cutoffs(&self, _qs: &QsTables, first: usize, sn: usize, cuts: &mut [Stripe]) {
+        if sn < QS_SUB {
+            cuts.fill(Stripe::ZERO);
+        }
+        let nf = self.domains.len();
+        if nf == 0 {
+            return;
+        }
+        // Row-major, the order the codes are stored in: each row's codes
+        // are one sequential read, and the spans and the table stay hot.
+        let rows = &self.codes[first * nf..(first + sn) * nf];
+        for (row, rl) in rows.chunks_exact(nf).zip(0..QS_SUB) {
+            for ((lanes, &code), &span) in cuts.iter_mut().zip(row).zip(&self.tables.spans) {
+                lanes.0[rl] = self.tables.cut(span, code.into() as usize);
+            }
+        }
     }
 }
 
@@ -380,8 +461,8 @@ fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     // 32-leaf trees) take the QuickScorer bitvector path: streaming
     // mask ANDs instead of per-node descent. Wider trees descend.
     if let Some(qs) = flat.qs.as_ref() {
-        let simd = qs_simd_available();
-        return qs_impl::<TRANSFORM, COUNTED, S>(flat, qs, src, start, out, scratch, simd);
+        let tier = Tier::detect();
+        return qs_impl::<TRANSFORM, COUNTED, S>(flat, qs, src, start, out, scratch, tier);
     }
     let nf = flat.num_features;
     let mut visited = 0u64;
@@ -495,126 +576,107 @@ fn chunk_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     visited
 }
 
-/// Rows scored together on the QuickScorer path. On the AVX2 variant
-/// one entry's mask is applied to all [`QS_SUB`] lanes in a single
-/// pass (two 256-bit AND+blend ops), so the entry stream is walked
-/// `max(cutoff)` times per sub-block instead of `Σ cutoff` (~8× fewer
-/// entry visits on the paper forest). The sub-block's bitvector
-/// (trees × QS_SUB × 4 B) stays L1-resident, and the finalize loop
-/// interleaves QS_SUB independent accumulator chains so the
-/// (determinism-mandated) serial f64 adds of one row pipeline behind
-/// its neighbours' instead of stalling.
+/// Rows scored together on the QuickScorer path: one 64-byte stripe of
+/// lanes. The SIMD tiers apply each entry to all lanes at once (a lane
+/// past its own cutoff keeps its bits), so one walk of the entry stream
+/// serves 16 rows instead of one walk per row (~8× fewer entry visits
+/// on the paper forest). The sub-block's bitvectors (trees × 64 B) stay
+/// L1-resident, and the finalize keeps QS_SUB independent accumulator
+/// chains, so the (determinism-mandated) serial f64 adds of one row
+/// pipeline behind its neighbours' instead of stalling.
 pub const QS_SUB: usize = 16;
 
-/// Whether the lane-parallel AVX2 entry application is available on
-/// this machine (checked at runtime — the build targets baseline
-/// x86-64, so the kernel stays portable and self-selects).
-#[inline]
-fn qs_simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+/// [`QS_SUB`] `u32` lanes on one 64-byte cache line: a sub-block's
+/// cutoffs for one feature, or its leaf bitvectors for one tree. The
+/// AVX-512 tier reads and writes a stripe as one aligned 512-bit
+/// vector and the AVX2 tier as two aligned halves, so no access splits
+/// across two lines.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct Stripe(pub(crate) [u32; QS_SUB]);
+
+impl Stripe {
+    const ZERO: Stripe = Stripe([0; QS_SUB]);
+    const ONES: Stripe = Stripe([!0; QS_SUB]);
 }
 
-/// Scalar entry application for one feature: walk each row's cutoff
-/// prefix of the entry list, ANDing each packed mask into the row's
-/// lane of the entry's tree stripe. Parked lanes hold cutoff 0 and do
-/// no work.
-///
-/// Bounds contract (callers': see [`qs_impl`]): every
-/// `cuts[rl] <= ` the feature's entry count, `lo` is the feature's
-/// entry offset, and `bv` is the full `trees * QS_SUB` stripe array.
-#[inline]
-fn qs_apply_scalar(ent: &[u64], lo: usize, cuts: &[i32; QS_SUB], bv: &mut [u32]) {
-    for (rl, &c) in cuts.iter().enumerate() {
-        for k in 0..c as usize {
-            // SAFETY: k < cuts[rl] <= the feature's entry count, so
-            // lo + k < ent.len(); the packed tree id t < trees, so
-            // t * QS_SUB + rl < bv.len().
-            unsafe {
-                let p = *ent.get_unchecked(lo + k);
-                let t = p as u32 as usize;
-                *bv.get_unchecked_mut(t * QS_SUB + rl) &= (p >> 32) as u32;
-            }
+/// Proof that AVX2 runs on this machine: only [`Avx2::detect`] makes
+/// one, at run time, as the build targets baseline x86-64, so safe code
+/// cannot pick the AVX2 loop where it would fault.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Avx2(());
+
+impl Avx2 {
+    fn detect() -> Option<Avx2> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Some(Avx2(()));
         }
+        None
     }
 }
 
-/// AVX2 entry application for one feature: one pass over the entry
-/// prefix `[lo, lo + cmax)` applies every entry to all [`QS_SUB`] rows
-/// at once — rows whose cutoff stops earlier AND an all-ones identity
-/// (`blendv` on the `k < cut` lane compare), so the per-sub-block entry
-/// walk costs `max(cutoff)` visits instead of `Σ cutoff`.
-///
-/// # Safety
-/// Caller must have verified AVX2 support, `cmax <=` the feature's
-/// entry count (with `lo` its offset, so `lo + cmax <= ent.len()`),
-/// packed tree ids `< trees`, and `bv` exactly `trees * QS_SUB` long.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn qs_apply_avx2(ent: &[u64], lo: usize, cmax: usize, cuts: &[i32; QS_SUB], bv: &mut [u32]) {
-    use std::arch::x86_64::*;
-    // SAFETY: pointer arithmetic stays inside `ent`/`bv` per the
-    // caller contract; loads/stores are unaligned-tolerant (`loadu`).
-    unsafe {
-        let cut_lo = _mm256_loadu_si256(cuts.as_ptr() as *const __m256i);
-        let cut_hi = _mm256_loadu_si256(cuts.as_ptr().add(8) as *const __m256i);
-        let ones = _mm256_set1_epi32(-1);
-        let step = _mm256_set1_epi32(1);
-        // k as a vector, bumped once per entry: signed compares are
-        // safe because the layout keeps entry indices <= i32::MAX.
-        let mut kv = _mm256_setzero_si256();
-        let entp = ent.as_ptr().add(lo);
-        let bvp = bv.as_mut_ptr();
-        for k in 0..cmax {
-            let p = *entp.add(k);
-            let t = p as u32 as usize;
-            let m = _mm256_set1_epi32((p >> 32) as u32 as i32);
-            // Active lanes: cut > k. Parked lanes (cutoff 0) never
-            // activate and keep their identity mask.
-            let act_lo = _mm256_cmpgt_epi32(cut_lo, kv);
-            let act_hi = _mm256_cmpgt_epi32(cut_hi, kv);
-            let keep_lo = _mm256_blendv_epi8(ones, m, act_lo);
-            let keep_hi = _mm256_blendv_epi8(ones, m, act_hi);
-            let stripe = bvp.add(t * QS_SUB);
-            let cur_lo = _mm256_loadu_si256(stripe as *const __m256i);
-            let cur_hi = _mm256_loadu_si256(stripe.add(8) as *const __m256i);
-            _mm256_storeu_si256(stripe as *mut __m256i, _mm256_and_si256(cur_lo, keep_lo));
-            _mm256_storeu_si256(
-                stripe.add(8) as *mut __m256i,
-                _mm256_and_si256(cur_hi, keep_hi),
-            );
-            kv = _mm256_add_epi32(kv, step);
+/// Proof that AVX-512F and AVX-512CD run on this machine (F for the
+/// masked AND and the gathers, CD for the finalize's lane-wise
+/// `lzcnt`): only [`Avx512::detect`] makes one.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Avx512(());
+
+impl Avx512 {
+    fn detect() -> Option<Avx512> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512cd") {
+            return Some(Avx512(()));
+        }
+        None
+    }
+}
+
+/// The QuickScorer loops a labelling runs. A SIMD tier holds its token,
+/// so only detection selects it, and the tests force a lower tier by
+/// passing one. Every tier computes the same bitvectors and the same
+/// per-row fold, so the tier never changes a label.
+#[derive(Clone, Copy)]
+enum Tier {
+    /// Each lane's own entry prefix, and a lane-by-lane finalize.
+    Scalar,
+    /// All 16 lanes per entry in two 256-bit halves; scalar finalize.
+    Avx2(Avx2),
+    /// One masked 512-bit AND per entry, and the gathered finalize.
+    Avx512(Avx512),
+}
+
+impl Tier {
+    /// The widest tier this machine runs.
+    fn detect() -> Tier {
+        if let Some(t) = Avx512::detect() {
+            return Tier::Avx512(t);
+        }
+        match Avx2::detect() {
+            Some(t) => Tier::Avx2(t),
+            None => Tier::Scalar,
         }
     }
 }
 
 /// The QuickScorer bitvector path (see [`crate::layout::QsTables`]).
 ///
-/// Per sub-block of [`QS_SUB`] rows: rank each row's feature values
-/// against the feature's threshold-sorted entry list — the rank is the
-/// row's *cutoff*, the count of false split conditions (`t < x`), which
-/// form a prefix of the list — then stream the entries up to the
-/// sub-block's largest cutoff once, ANDing each entry's packed mask
-/// into its tree's leaf bitvector for every row whose cutoff covers it
-/// (lane-predicated: parked lanes AND an identity mask). The exit leaf
-/// of every tree is the lowest surviving bit. No per-node pointer
-/// chases: the inner loops read one sequential `u64` array and
-/// read-modify-write 16 contiguous lanes per visit.
+/// Per sub-block of [`QS_SUB`] rows: fill each row's cutoff per
+/// feature — its rank among the feature's threshold-sorted entries, the
+/// count of its false split conditions (`t < x`), which form a prefix
+/// of the list — then AND each entry's mask into its tree's stripe in
+/// the lanes whose cutoff covers it (the SIMD tiers stream each
+/// feature's entries once for all lanes). The exit leaf of every tree
+/// is the lowest surviving bit. No per-node pointer chases: the inner
+/// loops read one sequential `u64` array and read-modify-write one
+/// cache line per entry.
 ///
-/// Determinism: each row's leaf values accumulate in global tree order,
-/// the exact walker fold; NaN features rank `u32::MAX`, clamp to the
-/// full entry list (every condition false), and so route right at every
-/// split like the walker.
-/// The SIMD dispatch is explicit (`allow_simd`), so tests can force the
-/// scalar application path on machines where detection would pick AVX2
-/// (both must be bitwise-identical to the walker).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+/// Determinism: on every tier each row's leaf values accumulate in
+/// global tree order, the exact walker fold; NaN features rank
+/// `u32::MAX`, clamp to the full entry list (every condition false),
+/// and so route right at every split like the walker.
 fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     flat: &FlatForest,
     qs: &QsTables,
@@ -622,82 +684,45 @@ fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     start: usize,
     out: &mut [f64],
     scratch: &mut Scratch,
-    allow_simd: bool,
+    tier: Tier,
 ) -> u64 {
-    let nf = flat.num_features;
-    let trees = flat.roots.len();
+    let cuts = refill(&mut scratch.cuts, flat.num_features, Stripe::ZERO);
+    let bv = refill(&mut scratch.bv, flat.roots.len(), Stripe::ONES);
     let mut visited = 0u64;
-    // Sub-block state, refilled per sub-block: feature-major cutoff
-    // lanes (cutt[f][rl]; parked lanes hold 0 and never match) and the
-    // transposed per-(tree, row) bitvectors (bv[t * QS_SUB + rl] —
-    // tree-major, so one entry's QS_SUB lanes are one contiguous line).
-    let cutt = refill(&mut scratch.cutt, nf, [0; QS_SUB]);
-    let bv = refill(&mut scratch.bv, trees * QS_SUB, 0);
     let mut sub = 0usize;
     while sub < out.len() {
         let sn = QS_SUB.min(out.len() - sub);
-        let first = start + sub;
-        // Rank once per sub-block, feature-major so each entry list is
-        // searched (or each code table read) while hot and the
-        // independent search chains overlap.
-        for (f, lanes) in cutt.iter_mut().enumerate() {
-            let lo = qs.offsets[f] as usize;
-            let hi = qs.offsets[f + 1] as usize;
-            let table = &qs.thr[lo..hi];
-            let len = table.len() as u32;
-            *lanes = [0; QS_SUB];
-            for (rl, lane) in lanes.iter_mut().take(sn).enumerate() {
-                // Entry counts are <= i32::MAX by layout construction,
-                // so the clamped rank is i32-representable.
-                *lane = src.rank(first + rl, f, table).min(len) as i32;
-            }
-        }
+        src.cutoffs(qs, start + sub, sn, cuts);
         // All-ones start: bits at or above a tree's leaf count are
         // never cleared (masks only cover real leaves), and the
-        // finalize below never reads past the tree's leaf range.
-        // Parked lanes (rl >= sn) stay all-ones and are never read.
-        bv.fill(!0u32);
-        for (f, cuts) in cutt.iter().enumerate() {
-            let lo = qs.offsets[f] as usize;
-            // Bounds for both application paths: each lane's cutoff is
-            // clamped to the feature's entry count above, packed tree
-            // ids enumerate the source trees, and bv spans
-            // trees * QS_SUB.
+        // finalize never reads past the tree's leaf range. Parked lanes
+        // (rl >= sn) have cutoff 0: they stay all-ones and are never
+        // output or counted.
+        bv.fill(Stripe::ONES);
+        match tier {
+            // SAFETY: an `Avx512` exists only where AVX-512F and
+            // AVX-512CD were detected; `bv` holds one stripe per tree of
+            // `qs`, and `cuts` one per feature.
             #[cfg(target_arch = "x86_64")]
-            if allow_simd {
-                let cmax = cuts.iter().copied().max().unwrap_or(0) as usize;
-                // SAFETY: AVX2 verified by the dispatcher; cmax is the
-                // lane maximum, still <= the feature's entry count.
-                unsafe { qs_apply_avx2(&qs.ent, lo, cmax, cuts, bv) };
-                continue;
-            }
-            qs_apply_scalar(&qs.ent, lo, cuts, bv);
+            Tier::Avx512(_) => unsafe { x86::apply_avx512(qs, cuts, bv) },
+            // SAFETY: an `Avx2` exists only where AVX2 was detected;
+            // `bv` and `cuts` as above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2(_) => unsafe { x86::apply_avx2(qs, cuts, bv) },
+            _ => apply_scalar(qs, cuts, bv),
         }
         let mut acc = [0.0f64; QS_SUB];
-        for t in 0..trees {
-            let loff = qs.leaf_offsets[t] as usize;
-            let cnt = qs.leaf_offsets[t + 1] as usize - loff;
-            // The exit leaf always survives (false conditions only
-            // clear subtrees the walker did not enter), so the lowest
-            // set bit is a real leaf slot; min() keeps the gather in
-            // range even if that invariant were broken.
-            for rl in 0..sn {
-                // SAFETY: t * QS_SUB + rl < trees * QS_SUB = bv.len();
-                // loff + slot < leaf_offsets[t + 1] <= the slot-aligned
-                // array lengths.
-                unsafe {
-                    let word = *bv.get_unchecked(t * QS_SUB + rl);
-                    let slot = (word.trailing_zeros() as usize).min(cnt - 1);
-                    *acc.get_unchecked_mut(rl) += *qs.leaf_value.get_unchecked(loff + slot);
-                    if COUNTED {
-                        visited += u64::from(*qs.leaf_depth1.get_unchecked(loff + slot));
-                    }
-                }
-            }
-        }
-        for (rl, &a) in acc.iter().take(sn).enumerate() {
+        visited += match tier {
+            // SAFETY: an `Avx512` exists only where AVX-512F and
+            // AVX-512CD were detected; `bv` holds one stripe per tree
+            // of `qs`.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512(_) => unsafe { x86::finalize_avx512::<COUNTED>(qs, bv, sn, &mut acc) },
+            _ => finalize_scalar::<COUNTED>(qs, bv, sn, &mut acc),
+        };
+        for (o, &a) in out[sub..sub + sn].iter_mut().zip(&acc) {
             let raw = flat.base_score + flat.scale * a;
-            out[sub + rl] = if TRANSFORM {
+            *o = if TRANSFORM {
                 flat.objective.transform(raw)
             } else {
                 raw
@@ -708,10 +733,234 @@ fn qs_impl<const TRANSFORM: bool, const COUNTED: bool, S: Ranks>(
     visited
 }
 
+/// Scalar entry application: for each feature, walk each lane's own
+/// cutoff prefix of the feature's entries, ANDing each mask into the
+/// lane of the entry's tree stripe. Parked lanes hold cutoff 0 and do
+/// no work.
+///
+/// Every cutoff in `cuts` is at most its feature's entry count (the
+/// fill clamps it), and `bv` holds one stripe per tree of `qs`; the
+/// indexing is checked, so a caller breaking either panics.
+fn apply_scalar(qs: &QsTables, cuts: &[Stripe], bv: &mut [Stripe]) {
+    for (f, lanes) in cuts.iter().enumerate() {
+        let ent = qs.entries(f);
+        for (rl, &c) in lanes.0.iter().enumerate() {
+            for &p in &ent[..c as usize] {
+                bv[p as u32 as usize].0[rl] &= (p >> 32) as u32;
+            }
+        }
+    }
+}
+
+/// Scalar finalize: per tree, each live lane's exit slot is its lowest
+/// surviving bit, clamped to the tree's last slot; the slot's leaf value
+/// is added to the lane's accumulator (and its depth to the visits).
+/// Returns the visits for `COUNTED`, else 0.
+///
+/// The exit leaf always survives (false conditions only clear subtrees
+/// the walker did not enter), so the lowest set bit is a real leaf
+/// slot; the clamp keeps the read in range even if it were not.
+fn finalize_scalar<const COUNTED: bool>(
+    qs: &QsTables,
+    bv: &[Stripe],
+    sn: usize,
+    acc: &mut [f64; QS_SUB],
+) -> u64 {
+    let mut visited = 0u64;
+    for (t, stripe) in bv.iter().enumerate() {
+        let loff = qs.leaf_offsets[t] as usize;
+        let cnt = qs.leaf_offsets[t + 1] as usize - loff;
+        let values = &qs.leaf_value[loff..loff + cnt];
+        let depths = &qs.leaf_depth1[loff..loff + cnt];
+        for (a, &word) in acc.iter_mut().zip(&stripe.0).take(sn) {
+            let slot = (word.trailing_zeros() as usize).min(cnt - 1);
+            *a += values[slot];
+            if COUNTED {
+                visited += u64::from(depths[slot]);
+            }
+        }
+    }
+    visited
+}
+
+/// The SIMD tiers. Each applies the same entries to the same lanes as
+/// [`apply_scalar`] and adds the same leaf values in the same order as
+/// [`finalize_scalar`]; only the number of instructions changes.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{QsTables, Stripe, QS_SUB};
+    use std::arch::x86_64::*;
+
+    /// One entry's tree id and mask, read as two `u32` words of its
+    /// packed `u64` (`mask << 32 | tree`; x86-64 is little-endian), so
+    /// the mask can be broadcast straight from memory.
+    ///
+    /// # Safety
+    /// `i` must index `ent`.
+    #[inline(always)]
+    unsafe fn entry(ent: &[u64], i: usize) -> (usize, *const i32) {
+        // SAFETY: entry i is 8 bytes inside `ent`, its low word the tree
+        // id and its high word the mask.
+        unsafe {
+            let words = ent.as_ptr().add(i).cast::<u32>();
+            (*words as usize, words.add(1).cast::<i32>())
+        }
+    }
+
+    /// AVX2 entry application: each feature's whole entry list, each
+    /// entry applied to all 16 lanes in two 256-bit halves. A lane
+    /// whose cutoff is at most the entry's index ORs all-ones into the
+    /// mask, so it keeps its bits.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `cuts` must hold one stripe per feature
+    /// of `qs` (cutoffs at most `i32::MAX`, as the layout keeps entry
+    /// counts) and `bv` one per tree.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn apply_avx2(qs: &QsTables, cuts: &[Stripe], bv: &mut [Stripe]) {
+        let one = _mm256_set1_epi32(1);
+        let bvp = bv.as_mut_ptr();
+        for (f, lanes) in cuts.iter().enumerate() {
+            let ent = qs.entries(f);
+            let cut = lanes.0.as_ptr().cast::<__m256i>();
+            // SAFETY: a stripe is 64 aligned bytes, two aligned halves.
+            let (cut_lo, cut_hi) =
+                unsafe { (_mm256_load_si256(cut), _mm256_load_si256(cut.add(1))) };
+            // k + 1 for entry k: `k + 1 > cut` marks the lanes past
+            // their prefix. The signed compare is exact, as k + 1 and
+            // the cutoffs are at most i32::MAX.
+            let mut k1 = one;
+            for i in 0..ent.len() {
+                // SAFETY: i indexes `ent`; its tree id is below bv.len()
+                // (build_qs_tables numbers the forest's trees), so the
+                // stripe and both of its aligned halves are inside `bv`.
+                unsafe {
+                    let (t, mask) = entry(ent, i);
+                    let mask = _mm256_set1_epi32(*mask);
+                    let keep_lo = _mm256_or_si256(mask, _mm256_cmpgt_epi32(k1, cut_lo));
+                    let keep_hi = _mm256_or_si256(mask, _mm256_cmpgt_epi32(k1, cut_hi));
+                    let stripe = bvp.add(t).cast::<__m256i>();
+                    let lo = _mm256_and_si256(_mm256_load_si256(stripe), keep_lo);
+                    let hi = _mm256_and_si256(_mm256_load_si256(stripe.add(1)), keep_hi);
+                    _mm256_store_si256(stripe, lo);
+                    _mm256_store_si256(stripe.add(1), hi);
+                }
+                k1 = _mm256_add_epi32(k1, one);
+            }
+        }
+    }
+
+    /// AVX-512 entry application: each feature's whole entry list; per
+    /// entry, one lane compare of the cutoffs against the entry's index
+    /// into a mask register and one merge-masked AND of the tree's
+    /// stripe.
+    ///
+    /// # Safety
+    /// AVX-512F must be available, `cuts` must hold one stripe per
+    /// feature of `qs` and `bv` one per tree.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn apply_avx512(qs: &QsTables, cuts: &[Stripe], bv: &mut [Stripe]) {
+        let one = _mm512_set1_epi32(1);
+        let bvp = bv.as_mut_ptr();
+        for (f, lanes) in cuts.iter().enumerate() {
+            let ent = qs.entries(f);
+            // SAFETY: a stripe is one aligned 64-byte vector.
+            let cut = unsafe { _mm512_load_si512(lanes.0.as_ptr().cast()) };
+            let mut k = _mm512_setzero_si512();
+            for i in 0..ent.len() {
+                // Lanes whose cutoff covers entry k take its mask; the
+                // others keep their bits.
+                let live = _mm512_cmpgt_epu32_mask(cut, k);
+                // SAFETY: i indexes `ent`; its tree id is below bv.len()
+                // (build_qs_tables numbers the forest's trees), so the
+                // stripe is one aligned vector inside `bv`.
+                unsafe {
+                    let (t, mask) = entry(ent, i);
+                    let mask = _mm512_set1_epi32(*mask);
+                    let stripe = bvp.add(t).cast::<__m512i>();
+                    let cur = _mm512_load_si512(stripe);
+                    _mm512_store_si512(stripe, _mm512_mask_and_epi32(cur, live, cur, mask));
+                }
+                k = _mm512_add_epi32(k, one);
+            }
+        }
+    }
+
+    /// AVX-512 finalize: per tree, all 16 exit slots at once, then the
+    /// 16 leaf values gathered and added to 16 lane accumulators, tree
+    /// by tree. `31 − lzcnt(w & −w)` is the index of `w`'s lowest set
+    /// bit, and `−1` (above every slot as `u32`) for `w = 0`; the
+    /// unsigned `min` with `cnt − 1` then gives
+    /// `trailing_zeros(w).min(cnt − 1)` in every case. Each lane adds
+    /// one value per tree in tree order, so every row keeps the scalar
+    /// fold `((0 + t₀) + t₁) + …` bit for bit. `COUNTED` gathers the
+    /// slots' depths in the live lanes (`rl < sn`) only and returns
+    /// their sum, else 0.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512CD must be available, `bv` must hold one
+    /// stripe per tree of `qs`, and `sn <= QS_SUB`.
+    #[target_feature(enable = "avx512f,avx512cd")]
+    pub(super) unsafe fn finalize_avx512<const COUNTED: bool>(
+        qs: &QsTables,
+        bv: &[Stripe],
+        sn: usize,
+        acc: &mut [f64; QS_SUB],
+    ) -> u64 {
+        let zero = _mm512_setzero_si512();
+        let top = _mm512_set1_epi32(31);
+        let live = ((1u32 << sn) - 1) as __mmask16;
+        let (mut lo, mut hi) = (_mm512_setzero_pd(), _mm512_setzero_pd());
+        // Per lane, the depths of one row's exit leaves: at most the
+        // total node count, which the layout keeps within u32.
+        let mut visits = zero;
+        for (t, stripe) in bv.iter().enumerate() {
+            let loff = qs.leaf_offsets[t] as usize;
+            // Every validated tree has at least one leaf, so this does
+            // not wrap.
+            let last = qs.leaf_offsets[t + 1] - qs.leaf_offsets[t] - 1;
+            // SAFETY: a stripe is one aligned 64-byte vector. The
+            // unsigned min bounds every slot by `last`, so each gathered
+            // index loff + slot is below leaf_offsets[t + 1], which
+            // build_qs_tables sets to leaf_value.len() after tree t's
+            // leaves; leaf_depth1 has one entry per leaf value.
+            unsafe {
+                let w = _mm512_load_si512(stripe.0.as_ptr().cast());
+                let low = _mm512_and_si512(w, _mm512_sub_epi32(zero, w));
+                let slot = _mm512_sub_epi32(top, _mm512_lzcnt_epi32(low));
+                let slot = _mm512_min_epu32(slot, _mm512_set1_epi32(last as i32));
+                let values = qs.leaf_value.as_ptr().add(loff);
+                let first8 = _mm512_castsi512_si256(slot);
+                let last8 = _mm512_extracti64x4_epi64::<1>(slot);
+                lo = _mm512_add_pd(lo, _mm512_i32gather_pd::<8>(first8, values));
+                hi = _mm512_add_pd(hi, _mm512_i32gather_pd::<8>(last8, values));
+                if COUNTED {
+                    let depths = qs.leaf_depth1.as_ptr().add(loff).cast::<i32>();
+                    let d = _mm512_mask_i32gather_epi32::<4>(zero, live, slot, depths);
+                    visits = _mm512_add_epi32(visits, d);
+                }
+            }
+        }
+        // SAFETY: `acc` holds 16 f64.
+        unsafe {
+            _mm512_storeu_pd(acc.as_mut_ptr(), lo);
+            _mm512_storeu_pd(acc.as_mut_ptr().add(8), hi);
+        }
+        if !COUNTED {
+            return 0;
+        }
+        let mut lanes = [0u32; QS_SUB];
+        // SAFETY: `lanes` holds 16 u32.
+        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), visits) };
+        lanes.iter().map(|&v| u64::from(v)).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Forest, Node, Objective, Tree};
+    use gef_trace::rng::Rng;
 
     fn forest() -> Forest {
         let t0 = Tree {
@@ -780,113 +1029,215 @@ mod tests {
         }
     }
 
-    /// Both QuickScorer application paths — lane-parallel SIMD (when
-    /// the machine has it) and the scalar fallback — must agree with
-    /// each other and with the walker, bit for bit, NaN rows included.
-    #[test]
-    fn scalar_and_simd_qs_applications_match_walker() {
-        let forest = forest();
-        let flat = forest.flattened().expect("valid forest flattens");
-        let qs = flat.qs.as_ref().expect("small trees build QS tables");
-        let xs: Vec<Vec<f64>> = (0..150)
-            .map(|i| {
-                if i % 31 == 0 {
-                    vec![f64::NAN, (i % 5) as f64 / 4.0]
-                } else {
-                    vec![(i % 17) as f64 / 16.0, (i % 5) as f64 / 4.0]
-                }
-            })
-            .collect();
-        for allow_simd in [false, true] {
-            let mut raw = vec![0.0; xs.len()];
-            let mut scratch = Scratch::default();
-            let rows = Rows(&xs);
-            qs_impl::<false, false, _>(&flat, qs, &rows, 0, &mut raw, &mut scratch, allow_simd);
-            let mut resp = vec![0.0; xs.len()];
-            let visited =
-                qs_impl::<true, true, _>(&flat, qs, &rows, 0, &mut resp, &mut scratch, allow_simd);
-            let mut want_visits = 0u64;
-            for (i, x) in xs.iter().enumerate() {
-                let (wraw, n) = forest.predict_raw_counted(x);
-                want_visits += n;
-                assert_eq!(
-                    raw[i].to_bits(),
-                    wraw.to_bits(),
-                    "simd={allow_simd} row {i}"
-                );
-                assert_eq!(
-                    resp[i].to_bits(),
-                    forest.objective.transform(wraw).to_bits(),
-                    "simd={allow_simd} row {i}"
-                );
-            }
-            assert_eq!(visited, want_visits, "simd={allow_simd}");
+    /// The tiers this machine runs, scalar first, each with its name.
+    /// A tier the machine lacks is skipped, and the skip is named.
+    fn tiers() -> Vec<(&'static str, Tier)> {
+        let mut tiers = vec![("scalar", Tier::Scalar)];
+        match Avx2::detect() {
+            Some(t) => tiers.push(("AVX2", Tier::Avx2(t))),
+            None => eprintln!("no AVX2 on this machine: skipping the AVX2 tier"),
         }
+        match Avx512::detect() {
+            Some(t) => tiers.push(("AVX-512F+CD", Tier::Avx512(t))),
+            None => eprintln!("no AVX-512F+CD on this machine: skipping the AVX-512 tier"),
+        }
+        tiers
     }
 
-    /// Code ranks feed the same two application paths: scalar and SIMD
-    /// labels from codes equal the walker's on the values the codes
-    /// stand for, with an empty domain (the constant 0.0) on feature 0,
-    /// thresholds, values off every threshold and NaN on feature 1.
+    /// A threshold or cell value from a small pool, so rows often sit
+    /// exactly on a threshold (`x <= t` is true there).
+    fn pooled(rng: &mut Rng) -> f64 {
+        f64::from(rng.below(16) as u32) / 8.0 - 0.5
+    }
+
+    /// A tree with exactly `leaves` leaves: a leaf, split at random
+    /// leaves until it has that many.
+    fn tree_with_leaves(rng: &mut Rng, nf: usize, leaves: usize) -> Tree {
+        let mut nodes = vec![Node::leaf(0.25, 1)];
+        let mut open = vec![0usize];
+        while open.len() < leaves {
+            let i = open.swap_remove(rng.below(open.len() as u64) as usize);
+            let left = nodes.len() as u32;
+            let value = |rng: &mut Rng| f64::from(rng.next_u64() as u16 as i16) / 100.0;
+            nodes.push(Node::leaf(value(rng), 1));
+            nodes.push(Node::leaf(value(rng), 1));
+            let feature = rng.below(nf as u64) as usize;
+            nodes[i] = Node::split(feature, pooled(rng), left, left + 1, 1.0, 2);
+            open.extend([left as usize, left as usize + 1]);
+        }
+        Tree { nodes }
+    }
+
+    /// Case `seed`'s forest: 1 to 6 features and 2 to 13 trees of 1 to
+    /// 32 leaves, the last tree exactly 32; every leaf count appears
+    /// across the cases.
+    fn seeded_forest(seed: u64) -> Forest {
+        let mut rng = Rng::seed(seed);
+        let nf = 1 + rng.below(6) as usize;
+        let trees = 2 + rng.below(12) as usize;
+        let trees = (0..trees)
+            .map(|t| {
+                let leaves = if t + 1 == trees {
+                    32
+                } else {
+                    1 + (t * 7 + seed as usize * 5) % 32
+                };
+                tree_with_leaves(&mut rng, nf, leaves)
+            })
+            .collect();
+        let objective = if seed.is_multiple_of(2) {
+            Objective::RegressionL2
+        } else {
+            Objective::BinaryLogistic
+        };
+        Forest::new(trees, 0.125, 1.0, objective, nf)
+    }
+
+    /// Labels `n` rows of `src` through `qs_impl` on `tier`, in two
+    /// calls split at `split`, so both calls end on a sub-block tail.
+    fn qs_labels<S: Ranks>(
+        flat: &FlatForest,
+        src: &S,
+        n: usize,
+        split: usize,
+        scale: LabelScale,
+        tier: Tier,
+    ) -> (Vec<u64>, u64) {
+        let qs = flat
+            .qs
+            .as_ref()
+            .expect("trees of at most 32 leaves build QS tables");
+        let mut out = vec![0.0; n];
+        let mut scratch = Scratch::default();
+        let (head, rest) = out.split_at_mut(split);
+        let mut visited = 0;
+        for (start, part) in [(0, head), (split, rest)] {
+            let s = &mut scratch;
+            visited += match scale {
+                LabelScale::Raw => qs_impl::<false, false, _>(flat, qs, src, start, part, s, tier),
+                LabelScale::Response => {
+                    qs_impl::<true, false, _>(flat, qs, src, start, part, s, tier)
+                }
+                LabelScale::Counted => {
+                    qs_impl::<true, true, _>(flat, qs, src, start, part, s, tier)
+                }
+            };
+        }
+        (out.iter().map(|v| v.to_bits()).collect(), visited)
+    }
+
+    /// The walker's labels and visits on `scale`.
+    fn walker_labels(forest: &Forest, xs: &[Vec<f64>], scale: LabelScale) -> (Vec<u64>, u64) {
+        let mut visits = 0;
+        let labels = xs
+            .iter()
+            .map(|x| match scale {
+                LabelScale::Raw => forest.predict_raw(x),
+                LabelScale::Response => forest.predict(x),
+                LabelScale::Counted => {
+                    let (raw, n) = forest.predict_raw_counted(x);
+                    visits += n;
+                    forest.objective.transform(raw)
+                }
+            })
+            .map(f64::to_bits)
+            .collect();
+        (labels, visits)
+    }
+
+    /// Every QuickScorer tier the machine runs — AVX-512F+CD, AVX2 and
+    /// scalar, each forced by passing its token — labels bit for bit as
+    /// the walker does, visit totals included, on the raw, response and
+    /// counted scales. Seeded forests of 1 to 32 leaves per tree (each
+    /// with one 32-leaf tree), on `f64` rows with NaN cells and on `u16`
+    /// and `u32` codes over domains holding NaN, values on and between
+    /// the thresholds, and empty domains; every batch ends on a
+    /// sub-block tail, 1 to 15 rows across the cases.
     #[test]
-    fn scalar_and_simd_qs_applications_match_walker_from_codes() {
-        let forest = forest();
-        let flat = forest.flattened().expect("valid forest flattens");
-        let qs = flat.qs.as_ref().expect("small trees build QS tables");
-        for domains in [
-            vec![vec![], vec![-1.0, 0.25, 0.5, 0.75, 0.9, f64::NAN]],
-            vec![vec![0.5, 0.49, 2.0], vec![0.25]],
-        ] {
+    fn every_tier_labels_as_the_walker() {
+        let tiers = tiers();
+        let scales = [LabelScale::Raw, LabelScale::Response, LabelScale::Counted];
+        for seed in 0..30u64 {
+            let forest = seeded_forest(seed);
+            let flat = forest.flattened().expect("valid forest flattens");
+            let nf = forest.num_features;
+            let mut rng = Rng::seed(seed ^ 0x5eed);
+            let tail = 1 + seed as usize % 15;
+            let n = QS_SUB * (1 + seed as usize % 5) + tail;
+            let split = QS_SUB + 1 + seed as usize % (QS_SUB - 1);
+            let split = split.min(n);
+
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..nf)
+                        .map(|_| match rng.below(10) {
+                            0 => f64::NAN,
+                            1 => pooled(&mut rng) + 1.0 / 16.0,
+                            _ => pooled(&mut rng),
+                        })
+                        .collect()
+                })
+                .collect();
+            let domains: Vec<Vec<f64>> = (0..nf)
+                .map(|f| {
+                    if f == (seed as usize) % (nf + 1) {
+                        return Vec::new();
+                    }
+                    let len = 1 + rng.below(12) as usize;
+                    (0..len)
+                        .map(|k| match k % 5 {
+                            4 => f64::NAN,
+                            3 => pooled(&mut rng) - 1.0 / 32.0,
+                            _ => pooled(&mut rng),
+                        })
+                        .collect()
+                })
+                .collect();
             let tables = CodeTables::build(&flat, &domains);
-            let n = 150;
-            let mut codes = Vec::new();
-            let mut xs = Vec::new();
-            for i in 0..n {
-                let row: Vec<f64> = domains
-                    .iter()
-                    .enumerate()
-                    .map(|(f, dom)| {
-                        let k = if dom.is_empty() {
-                            0
-                        } else {
-                            (i * (f + 2)) % dom.len()
-                        };
-                        codes.push(k as u16);
-                        dom.get(k).copied().unwrap_or(0.0)
-                    })
-                    .collect();
-                xs.push(row);
-            }
-            let src = Codes {
-                codes: &codes,
+            let picks: Vec<usize> = (0..n * nf)
+                .map(|i| rng.below(domains[i % nf].len().max(1) as u64) as usize)
+                .collect();
+            let coded_rows: Vec<Vec<f64>> = picks
+                .chunks(nf)
+                .map(|row| {
+                    row.iter()
+                        .zip(&domains)
+                        .map(|(&k, dom)| dom.get(k).copied().unwrap_or(0.0))
+                        .collect()
+                })
+                .collect();
+            let u16s: Vec<u16> = picks.iter().map(|&k| k as u16).collect();
+            let u32s: Vec<u32> = picks.iter().map(|&k| k as u32).collect();
+            let by_u16 = Codes {
+                codes: &u16s,
                 domains: &domains,
                 tables: &tables,
             };
-            for allow_simd in [false, true] {
-                let mut resp = vec![0.0; n];
-                let mut scratch = Scratch::default();
-                let visited = qs_impl::<true, true, _>(
-                    &flat,
-                    qs,
-                    &src,
-                    0,
-                    &mut resp,
-                    &mut scratch,
-                    allow_simd,
-                );
-                let mut want_visits = 0u64;
-                for (i, x) in xs.iter().enumerate() {
-                    let (wraw, v) = forest.predict_raw_counted(x);
-                    want_visits += v;
-                    assert_eq!(
-                        resp[i].to_bits(),
-                        forest.objective.transform(wraw).to_bits(),
-                        "simd={allow_simd} row {i}"
-                    );
+            let by_u32 = Codes {
+                codes: &u32s,
+                domains: &domains,
+                tables: &tables,
+            };
+
+            for scale in scales {
+                let rows_want = walker_labels(&forest, &xs, scale);
+                let codes_want = walker_labels(&forest, &coded_rows, scale);
+                for &(name, tier) in &tiers {
+                    let case = format!("seed {seed}, {name}, {scale:?}");
+                    let rows = qs_labels(&flat, &Rows(&xs), n, split, scale, tier);
+                    assert_eq!(rows, rows_want, "rows: {case}");
+                    let got16 = qs_labels(&flat, &by_u16, n, split, scale, tier);
+                    assert_eq!(got16, codes_want, "u16 codes: {case}");
+                    let got32 = qs_labels(&flat, &by_u32, n, split, scale, tier);
+                    assert_eq!(got32, codes_want, "u32 codes: {case}");
                 }
-                assert_eq!(visited, want_visits, "simd={allow_simd}");
             }
         }
+        let names: Vec<&str> = tiers.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "QuickScorer tiers matching the walker: {}",
+            names.join(", ")
+        );
     }
 
     /// Trees wider than 32 leaves get no QS tables and descend instead;

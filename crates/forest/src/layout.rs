@@ -206,6 +206,18 @@ pub(crate) struct QsTables {
     pub(crate) leaf_depth1: Vec<u32>,
 }
 
+impl QsTables {
+    /// Feature `f`'s entry thresholds, in sorted order.
+    pub(crate) fn thresholds(&self, f: usize) -> &[f64] {
+        &self.thr[self.offsets[f] as usize..self.offsets[f + 1] as usize]
+    }
+
+    /// Feature `f`'s packed entries, in threshold order.
+    pub(crate) fn entries(&self, f: usize) -> &[u64] {
+        &self.ent[self.offsets[f] as usize..self.offsets[f + 1] as usize]
+    }
+}
+
 /// Build the QuickScorer tables, or `None` when some tree has more than
 /// 32 leaves (the bitvector holds one `u32` bit per leaf). Runs after
 /// [`FlatForest::build`]'s structural validation, so the explicit-stack

@@ -307,8 +307,8 @@ impl Forest {
     /// [`Forest::predict_batch`]'s rule for `n_rows` rows: the kernel
     /// when the layout is valid, no fault is armed and the batch clears
     /// the kernel floor, serial or pool by its size. The kernel then
-    /// reads each cell's rank from a per-feature code table, built now
-    /// against the layout's own threshold tables; otherwise the walker
+    /// reads each cell's cutoff from one flat code→cutoff table, built
+    /// now against the layout's own threshold tables; otherwise the walker
     /// labels one row at a time, materialized from its codes. Every
     /// route labels bit-identically to the walker.
     ///
@@ -516,12 +516,12 @@ impl<'a> LabelPlan<'a> {
 pub struct DomainLabeler<'a> {
     plan: LabelPlan<'a>,
     domains: &'a [Vec<f64>],
-    /// Code→rank tables on the kernel route; empty on the walker's.
+    /// The code→cutoff table on the kernel route; empty on the walker's.
     tables: kernel::CodeTables,
 }
 
 impl DomainLabeler<'_> {
-    /// Whether the kernel labels blocks from code tables (rather than
+    /// Whether the kernel labels blocks from the code table (rather than
     /// the walker, on rows materialized from the codes).
     pub fn uses_codes(&self) -> bool {
         self.plan.kernel.is_some()

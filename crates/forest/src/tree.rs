@@ -125,41 +125,6 @@ impl Tree {
         }
     }
 
-    /// Index of the leaf an instance falls into.
-    pub fn leaf_index(&self, x: &[f64]) -> usize {
-        let mut idx = 0usize;
-        loop {
-            let n = &self.nodes[idx];
-            if n.is_leaf() {
-                return idx;
-            }
-            idx = if x[n.feature as usize] <= n.threshold {
-                n.left as usize
-            } else {
-                n.right as usize
-            };
-        }
-    }
-
-    /// Node indices along the root-to-leaf decision path of an instance
-    /// (includes both the root and the final leaf).
-    pub fn decision_path(&self, x: &[f64]) -> Vec<usize> {
-        let mut path = Vec::with_capacity(16);
-        let mut idx = 0usize;
-        loop {
-            path.push(idx);
-            let n = &self.nodes[idx];
-            if n.is_leaf() {
-                return path;
-            }
-            idx = if x[n.feature as usize] <= n.threshold {
-                n.left as usize
-            } else {
-                n.right as usize
-            };
-        }
-    }
-
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
@@ -282,14 +247,6 @@ mod tests {
         assert_eq!(t.predict(&[0.9, 0.0]), 3.0);
         // Boundary: x <= t goes left.
         assert_eq!(t.predict(&[0.5, 0.3]), 1.0);
-    }
-
-    #[test]
-    fn decision_path_and_leaf_index() {
-        let t = sample_tree();
-        assert_eq!(t.decision_path(&[0.4, 0.2]), vec![0, 1, 3]);
-        assert_eq!(t.decision_path(&[0.9, 0.0]), vec![0, 2]);
-        assert_eq!(t.leaf_index(&[0.4, 0.8]), 4);
     }
 
     #[test]

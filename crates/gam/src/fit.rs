@@ -762,12 +762,16 @@ struct Pirls {
     final_delta: f64,
 }
 
-/// Binomial deviance of the responses under linear predictors `eta`.
-fn binomial_deviance(ys: &[f64], eta: &[f64]) -> f64 {
+/// Binomial deviance of the responses under linear predictors `eta`;
+/// `mu` receives `μ = logit⁻¹(η)` per row, unclamped (the deviance
+/// clamps its own copy).
+fn binomial_deviance(ys: &[f64], eta: &[f64], mu: &mut [f64]) -> f64 {
     ys.iter()
         .zip(eta)
-        .map(|(&y, &e)| {
-            let mu = Link::Logit.inverse(e).clamp(1e-12, 1.0 - 1e-12);
+        .zip(mu)
+        .map(|((&y, &e), m)| {
+            *m = Link::Logit.inverse(e);
+            let mu = m.clamp(1e-12, 1.0 - 1e-12);
             let term_y = if y > 0.0 { y * (y / mu).ln() } else { 0.0 };
             let term_n = if y < 1.0 {
                 (1.0 - y) * ((1.0 - y) / (1.0 - mu)).ln()
@@ -812,6 +816,11 @@ fn pirls_logit(
             (mu / (1.0 - mu)).ln()
         })
         .collect();
+    // μ = logit⁻¹(η) of the current iterate, the weights' input. The
+    // deviance of a candidate step computes it into `cand_mu`, and an
+    // accepted step carries it forward instead of evaluating it again.
+    let mut mu: Vec<f64> = eta.iter().map(|&e| Link::Logit.inverse(e)).collect();
+    let mut cand_mu = vec![0.0; ys.len()];
     let mut beta = vec![0.0; p];
     let mut result: Option<(Cholesky, Matrix)> = None;
     let mut iters = 0;
@@ -847,8 +856,8 @@ fn pirls_logit(
         // XᵀWX and XᵀWz, serially: the λ grid around this run is what
         // runs on the pool.
         let gram_span = gef_trace::Span::enter("gam.gram");
-        for (((w, wz), &y), &e) in w.iter_mut().zip(&mut wz).zip(ys).zip(&eta) {
-            let mu = Link::Logit.inverse(e);
+        for (((w, wz), &y), (&e, &mu)) in w.iter_mut().zip(&mut wz).zip(ys).zip(eta.iter().zip(&mu))
+        {
             *w = (mu * (1.0 - mu)).max(1e-6);
             let z = e + (y - mu) / *w;
             *wz = *w * z;
@@ -878,7 +887,7 @@ fn pirls_logit(
             let cand_eta: Vec<f64> = (0..rows.rows())
                 .map(|r| rows.row_dot(r, &new_beta).clamp(-30.0, 30.0))
                 .collect();
-            let dev = binomial_deviance(ys, &cand_eta);
+            let dev = binomial_deviance(ys, &cand_eta, &mut cand_mu);
             if dev.is_finite() && dev <= prev_dev + 1e-6 * (1.0 + prev_dev.abs()) {
                 break (cand_eta, dev, true);
             }
@@ -914,6 +923,7 @@ fn pirls_logit(
         let scale_ref = new_beta.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
         beta = new_beta;
         eta = new_eta;
+        std::mem::swap(&mut mu, &mut cand_mu);
         prev_dev = dev;
         result = Some((chol, g));
         last_delta = delta;
