@@ -163,11 +163,12 @@ step "cargo fmt --check" cargo fmt --all -- --check
 step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
 
 # No-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store,
-# gef-trace and gef-linalg deny unwrap/expect in non-test library code via
-# #![cfg_attr(not(test), deny(...))] in their lib.rs; this lint pass
-# compiles the libs without cfg(test) to enforce it. gef-par is
-# included so the guarantee covers the parallel paths: a task panic
-# comes back as ParError::TaskPanicked, never a coordinator re-raise.
+# gef-trace, gef-linalg and gef-serve deny unwrap/expect in non-test
+# library code via #![cfg_attr(not(test), deny(...))] in their lib.rs;
+# this lint pass compiles the libs without cfg(test) to enforce it.
+# gef-par is included so the guarantee covers the parallel paths: a
+# task panic comes back as ParError::TaskPanicked, never a coordinator
+# re-raise.
 # gef-forest is included because the flattened inference kernel uses
 # unchecked indexing behind build-time validation — the rest of the
 # crate must not hide a panic path that validation was supposed to
@@ -182,10 +183,30 @@ step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D war
 # tracking allocator's code is covered too. gef-linalg is included
 # because its Cholesky factor and inverse, under every GAM fit, run
 # AVX2 kernels with unchecked loads and stores: as in gef-forest, the
-# safe code around them must not hide a panic path.
-step "cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace, gef-linalg)" \
+# safe code around them must not hide a panic path. gef-serve is
+# included because it receives bytes from any client: `catch_unwind`
+# contains a panic inside a request, but the reactor thread that reads
+# and frames every request has no such net.
+step "cargo clippy (no-panic gate: gef-core, gef-gam, gef-par, gef-forest, gef-store, gef-trace, gef-linalg, gef-serve)" \
     cargo clippy -p gef-core -p gef-gam -p gef-par -p gef-forest -p gef-store -p gef-trace \
-    -p gef-linalg --lib --features gef-trace/alloc-track -- -D warnings
+    -p gef-linalg -p gef-serve --lib --features gef-trace/alloc-track -- -D warnings
+
+# Size report, no threshold: non-test lines per crate and in total,
+# the count CHANGES.md and ROADMAP.md quote. A line counts if it is in
+# a .rs file under crates/*/src, src or examples, above the file's
+# first `#[cfg(test)]`.
+non_test_lines() {
+    local dir n total=0
+    for dir in crates/*/src src examples; do
+        n=$(find "$dir" -name '*.rs' -exec awk \
+            'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { c++ } END { print c + 0 }' {} + |
+            awk '{ s += $1 } END { print s + 0 }')
+        printf '%7d  %s\n' "$n" "$dir"
+        total=$((total + n))
+    done
+    printf '%7d  total\n' "$total"
+}
+step "non-test line count (report only)" non_test_lines
 
 # The QuickScorer kernel runs the widest tier the machine has (AVX-512F
 # with AVX-512CD, then AVX2, then scalar). Its tier test checks every

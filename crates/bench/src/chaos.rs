@@ -69,12 +69,6 @@ pub fn random_schedule_from(rng: &mut SplitMix, sites: &[&str]) -> String {
     entries.join(",")
 }
 
-/// [`random_entry_from`] over every registered injection site.
-#[cfg(feature = "fault-injection")]
-pub fn random_entry(rng: &mut SplitMix) -> String {
-    random_entry_from(rng, &gef_core::faults::ALL_SITES)
-}
-
 /// [`random_schedule_from`] over every registered injection site.
 #[cfg(feature = "fault-injection")]
 pub fn random_schedule(rng: &mut SplitMix) -> String {

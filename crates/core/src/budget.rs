@@ -52,16 +52,6 @@ pub struct RunBudget {
 use gef_trace::env::u64_var as env_u64;
 
 impl RunBudget {
-    /// An unlimited budget: nothing armed.
-    pub fn unlimited() -> Self {
-        RunBudget::default()
-    }
-
-    /// Whether this budget constrains anything at all.
-    pub fn is_unlimited(&self) -> bool {
-        *self == RunBudget::default()
-    }
-
     /// Read the deadlines from the `GEF_*` environment knobs (see the
     /// module docs). Unset or invalid variables leave that limit off.
     pub fn from_env() -> Self {
@@ -140,7 +130,7 @@ mod tests {
     fn empty_env_is_unlimited() {
         with_env(&[], || {
             let b = RunBudget::from_env();
-            assert!(b.is_unlimited());
+            assert_eq!(b, RunBudget::default());
             let _guard = b.enter();
             assert!(!gef_trace::budget::hard_exceeded());
             assert!(!gef_trace::budget::soft_exceeded());

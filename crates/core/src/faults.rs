@@ -36,6 +36,11 @@ pub use gef_trace::fault::{
     any_armed, arm, armed, armed_counts, disarm, fired_count, fires, hit_count, reset, set_stage,
     stage, Trigger,
 };
+// The four `gef_store` disk-fault sites, defined once in gef-store.
+pub use gef_store::{
+    BIT_FLIP as STORE_BIT_FLIP, ENOSPC as STORE_ENOSPC, TORN_WRITE as STORE_TORN_WRITE,
+    TRUNCATE as STORE_TRUNCATE,
+};
 
 /// `gef_linalg::Cholesky::factor` fails with `NotPositiveDefinite`.
 pub const CHOL_FACTOR: &str = "chol.factor";
@@ -52,15 +57,6 @@ pub const PIRLS_STALL: &str = "pirls.stall";
 pub const FOREST_PREDICT_NAN: &str = "forest.predict_nan";
 /// A selected feature's sampling domain collapses to a single point.
 pub const SAMPLING_DOMAIN_COLLAPSE: &str = "sampling.domain_collapse";
-/// A `gef_store` publish writes only half the staged bytes (and skips
-/// the fsync) before the rename — a torn artifact under its final name.
-pub const STORE_TORN_WRITE: &str = "store.torn_write";
-/// A `gef_store` publish flips one bit of the staged payload.
-pub const STORE_BIT_FLIP: &str = "store.bit_flip";
-/// A `gef_store` read returns only the first half of the artifact.
-pub const STORE_TRUNCATE: &str = "store.truncate";
-/// A `gef_store` publish fails with an injected out-of-space error.
-pub const STORE_ENOSPC: &str = "store.enospc";
 
 /// All known injection sites.
 pub const ALL_SITES: [&str; 10] = [
@@ -196,17 +192,6 @@ fn parse_trigger(t: &str) -> Result<Trigger, FaultSpecError> {
     ))
 }
 
-/// Render `(site, trigger)` pairs back into the `GEF_FAULTS` grammar —
-/// the exact inverse of [`parse_spec`], used by incident dumps to emit
-/// a replayable activation string for the armed schedule.
-pub fn render_spec(entries: &[(String, Trigger)]) -> String {
-    entries
-        .iter()
-        .map(|(site, trig)| format!("{site}={}", trig.to_spec()))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Arm every site listed in the `GEF_FAULTS` environment variable.
 /// Returns how many sites were armed; a malformed spec is an error.
 pub fn arm_from_env() -> Result<usize, FaultSpecError> {
@@ -281,17 +266,6 @@ mod tests {
         for site in ALL_SITES {
             assert!(msg.contains(site), "{msg:?} should list {site}");
         }
-    }
-
-    #[test]
-    fn render_spec_round_trips_through_parse() {
-        let spec = "chol.factor=always,pirls.iter=first:3,forest.predict_nan=hits:0|4|9,\
-                    sampling.domain_collapse=stage<2,pirls.step=seeded:42:0.25";
-        let parsed = parse_spec(spec).unwrap();
-        let rendered = render_spec(&parsed);
-        assert_eq!(rendered, spec);
-        assert_eq!(parse_spec(&rendered).unwrap(), parsed);
-        assert_eq!(render_spec(&[]), "");
     }
 
     #[test]

@@ -186,12 +186,7 @@ pub fn render(cause: &str, error: &str, ctx: &IncidentContext) -> String {
 
     // Replayable fault schedule: the armed sites rendered back into the
     // GEF_FAULTS grammar, plus what each site actually did.
-    let armed = gef_trace::fault::armed();
-    let spec: Vec<String> = armed
-        .iter()
-        .map(|(site, trig)| format!("{site}={}", trig.to_spec()))
-        .collect();
-    w.field_str("replay_faults", &spec.join(","));
+    w.field_str("replay_faults", &gef_trace::fault::armed_spec());
     w.key("faults_fired");
     w.begin_array();
     for (site, hits, fired) in gef_trace::fault::armed_counts() {

@@ -200,8 +200,8 @@ gef_trace::json_struct!(Provenance {
 ///
 /// Always populated (independently of whether `gef-trace` collection is
 /// enabled — five clock reads are free at pipeline granularity) and
-/// carried inside [`GefExplanation`] so archived explanations keep their
-/// provenance. Mirrors the `pipeline.*` spans that `gef-trace` records.
+/// carried in [`Provenance::stage_timings`] so archived explanations
+/// keep them. Mirrors the `pipeline.*` spans that `gef-trace` records.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Forest profiling + univariate feature selection.
@@ -605,7 +605,6 @@ impl GefExplainer {
                 fidelity_rmse,
                 fidelity_r2,
                 objective: forest.objective,
-                telemetry: timings,
                 degradations,
                 provenance,
             },
@@ -638,10 +637,6 @@ pub struct GefExplanation {
     pub fidelity_r2: f64,
     /// Objective of the explained forest.
     pub objective: Objective,
-    /// Per-stage wall-clock timings of the pipeline run that produced
-    /// this explanation. Defaults to zeros when deserializing archives
-    /// written before telemetry existed.
-    pub telemetry: StageTimings,
     /// Graceful degradations applied while producing this explanation
     /// (domain fallbacks, label scrubbing, GAM ladder rungs). Empty on
     /// a clean run; defaults to empty for archives written before the
@@ -666,7 +661,6 @@ impl WriteJson for GefExplanation {
         w.field("fidelity_rmse", &self.fidelity_rmse);
         w.field("fidelity_r2", &self.fidelity_r2);
         w.field("objective", &self.objective);
-        w.field("telemetry", &self.telemetry);
         w.field("degradations", &self.degradations);
         w.field("provenance", &self.provenance);
         w.end_object();
@@ -686,7 +680,6 @@ impl ReadJson for GefExplanation {
             fidelity_rmse: v.req("fidelity_rmse")?,
             fidelity_r2: v.req("fidelity_r2")?,
             objective: v.req("objective")?,
-            telemetry: v.opt("telemetry")?,
             degradations: v.opt("degradations")?,
             provenance: v.opt("provenance")?,
         };
@@ -1153,16 +1146,25 @@ mod tests {
             }
         }
         let json = exp.to_json();
-        // Archives from before telemetry, the recovery ladder and
-        // provenance existed load with those blocks defaulted.
+        // Archives from before the recovery ladder and provenance
+        // existed load with those blocks defaulted.
         let mut legacy = json.clone();
-        for key in ["telemetry", "degradations", "provenance"] {
+        for key in ["degradations", "provenance"] {
             legacy = with_field(&legacy, key, None);
         }
         let reloaded = GefExplanation::from_json(&legacy).unwrap();
         assert_eq!(reloaded.provenance, Provenance::default());
-        assert_eq!(reloaded.telemetry, StageTimings::default());
         assert!(reloaded.degradations.is_empty());
+        // Archives that still hold the stage timings a second time, as
+        // the top-level `telemetry` key, load with the same field values;
+        // new output writes them only under `provenance`.
+        assert!(!json.contains("\"telemetry\""), "{json}");
+        let timings = gef_trace::json::to_string(&exp.provenance.stage_timings);
+        let telemetry = gef_trace::json::parse(&timings).unwrap();
+        let old = with_field(&json, "telemetry", Some(telemetry));
+        let reloaded = GefExplanation::from_json(&old).unwrap();
+        assert_eq!(reloaded.provenance, exp.provenance);
+        assert_eq!(reloaded.to_json(), json);
         // Missing required fields and inconsistent lengths are typed
         // errors, not later index panics.
         let short = JsonValue::Array(vec![JsonValue::Bool(false)]);
@@ -1298,9 +1300,10 @@ mod tests {
         .explain(&forest)
         .unwrap();
         // Generation and fitting always take measurable time.
-        assert!(exp.telemetry.generate_ns > 0);
-        assert!(exp.telemetry.gam_fit_ns > 0);
-        assert!(exp.telemetry.total_ns() > 0);
+        let t = exp.provenance.stage_timings;
+        assert!(t.generate_ns > 0);
+        assert!(t.gam_fit_ns > 0);
+        assert!(t.total_ns() > 0);
     }
 
     #[test]
@@ -1345,7 +1348,6 @@ mod tests {
         );
         assert_eq!(p.seed, 9);
         assert!(p.threads >= 1);
-        assert_eq!(p.stage_timings, exp.telemetry);
         assert_eq!(p.degradations.len(), exp.degradations.len());
         // JSON round-trip preserves provenance; legacy archives (no
         // provenance key) default to the version-0 block.

@@ -6,7 +6,7 @@
 //! certification authority would archive next to the audited model, and
 //! what downstream plotting tools consume.
 
-use crate::pipeline::{GefExplanation, Provenance, StageTimings};
+use crate::pipeline::{GefExplanation, Provenance};
 use crate::recovery::Degradation;
 use gef_trace::json;
 
@@ -64,9 +64,6 @@ pub struct ExplanationReport {
     pub fidelity_rmse: f64,
     /// R² of the surrogate vs the forest on held-out `D*`.
     pub fidelity_r2: f64,
-    /// Wall-clock spent in each pipeline stage (ns). Defaults to zero
-    /// when parsing reports archived before this field existed.
-    pub stage_timings: StageTimings,
     /// Graceful degradations applied while producing the explanation.
     /// An auditor reading the report can tell at a glance whether the
     /// fidelity numbers come from the full model or a degraded one.
@@ -74,9 +71,9 @@ pub struct ExplanationReport {
     /// ladder existed.
     pub degradations: Vec<Degradation>,
     /// Structured provenance of the producing run (config / forest /
-    /// GAM digests, seed, threads, budget outcome). Defaults to the
-    /// all-empty version-0 block for reports archived before provenance
-    /// existed.
+    /// GAM digests, seed, threads, budget outcome, stage timings).
+    /// Defaults to the all-empty version-0 block for reports archived
+    /// before provenance existed.
     pub provenance: Provenance,
 }
 
@@ -106,8 +103,7 @@ gef_trace::json_struct!(ExplanationReport {
     interactions,
     fidelity_rmse,
     fidelity_r2;
-    default stage_timings,
-    degradations,
+    default degradations,
     provenance
 });
 
@@ -155,7 +151,6 @@ impl ExplanationReport {
             interactions,
             fidelity_rmse: exp.fidelity_rmse,
             fidelity_r2: exp.fidelity_r2,
-            stage_timings: exp.telemetry,
             degradations: exp.degradations.clone(),
             provenance: exp.provenance.clone(),
         }
@@ -210,6 +205,17 @@ mod tests {
         let json = report.to_json();
         let parsed = ExplanationReport::from_json(&json).unwrap();
         assert_eq!(report, parsed);
+        // Reports archived with a top-level copy of the provenance
+        // block's stage timings (`stage_timings`) load with the same
+        // field values; new output writes them only under `provenance`.
+        let Ok(json::JsonValue::Object(mut pairs)) = json::parse(&json) else {
+            panic!("not an object: {json}");
+        };
+        assert!(pairs.iter().all(|(k, _)| k != "stage_timings"), "{json}");
+        let timings = json::to_string(&exp.provenance.stage_timings);
+        pairs.push(("stage_timings".to_string(), json::parse(&timings).unwrap()));
+        let old = json::JsonValue::Object(pairs).to_json();
+        assert_eq!(ExplanationReport::from_json(&old).unwrap(), report);
     }
 
     #[test]
@@ -233,9 +239,7 @@ mod tests {
                 .all(|p| p.lo <= p.estimate && p.estimate <= p.hi));
         }
         assert!(report.features[0].name.is_none());
-        // Stage timings and degradations are carried over.
-        assert_eq!(report.stage_timings, exp.telemetry);
-        assert!(report.stage_timings.total_ns() > 0);
+        // Degradations are carried over.
         assert_eq!(report.degradations, exp.degradations);
         assert!(
             report.degradations.is_empty(),

@@ -51,18 +51,6 @@ impl SamplingStrategy {
         }
     }
 
-    /// Same strategy with a different budget (All-Thresholds is
-    /// unchanged).
-    pub fn with_k(&self, k: usize) -> SamplingStrategy {
-        match self {
-            SamplingStrategy::AllThresholds => SamplingStrategy::AllThresholds,
-            SamplingStrategy::KQuantile(_) => SamplingStrategy::KQuantile(k),
-            SamplingStrategy::EquiWidth(_) => SamplingStrategy::EquiWidth(k),
-            SamplingStrategy::KMeans(_) => SamplingStrategy::KMeans(k),
-            SamplingStrategy::EquiSize(_) => SamplingStrategy::EquiSize(k),
-        }
-    }
-
     /// Build the sampling domain for a sorted threshold list, which may
     /// contain duplicates (the paper's `V_i` is the multiset of
     /// thresholds across split nodes; the density-aware strategies use
@@ -317,14 +305,6 @@ mod tests {
     fn k_accessors() {
         assert_eq!(SamplingStrategy::AllThresholds.k(), None);
         assert_eq!(SamplingStrategy::KQuantile(7).k(), Some(7));
-        assert_eq!(
-            SamplingStrategy::EquiSize(3).with_k(9),
-            SamplingStrategy::EquiSize(9)
-        );
-        assert_eq!(
-            SamplingStrategy::AllThresholds.with_k(9),
-            SamplingStrategy::AllThresholds
-        );
     }
 
     #[test]

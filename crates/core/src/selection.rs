@@ -66,14 +66,6 @@ impl ForestProfile {
     pub fn gain(&self, feature: usize) -> f64 {
         self.stats.gain[feature]
     }
-
-    /// Features that occur at least once in the forest (the paper's
-    /// full set `F`).
-    pub fn used_features(&self) -> Vec<usize> {
-        (0..self.num_features)
-            .filter(|&f| self.stats.split_count[f] > 0)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -127,11 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn used_features_and_gain() {
+    fn gain_ranks_the_strong_feature_first() {
         let f = forest_with_strong_f0();
         let p = ForestProfile::analyze(&f);
-        let used = p.used_features();
-        assert!(used.contains(&0));
         assert!(p.gain(0) > p.gain(1));
         assert!(p.gain(0) > 0.0);
     }

@@ -1,5 +1,4 @@
-//! Evaluation metrics: RMSE, R², Average Precision, ROC AUC, log-loss,
-//! accuracy.
+//! Evaluation metrics: RMSE, R², Average Precision, ROC AUC, accuracy.
 //!
 //! [`average_precision`] is the ranking metric the paper borrows to
 //! score interaction-detection heuristics (Fig. 6 / Table 1): candidate
@@ -13,8 +12,8 @@
 //! NaN arithmetically** when fed non-finite values. Pipeline code that
 //! can meet hostile numerics (the GEF recovery ladder scoring a
 //! possibly-degenerate fit) should use the checked variants
-//! [`try_rmse`] / [`try_r2`] / [`try_average_precision`], which return
-//! a [`MetricError`] instead of a sentinel or a panic.
+//! [`try_rmse`] / [`try_r2`], which return a [`MetricError`] instead of
+//! a sentinel or a panic.
 
 use std::fmt;
 
@@ -100,19 +99,6 @@ pub fn try_r2(pred: &[f64], truth: &[f64]) -> Result<f64, MetricError> {
     } else {
         Err(MetricError::NonFinite { index: None })
     }
-}
-
-/// Checked [`average_precision`]: errors on an empty ranking or one
-/// with no relevant items (where the 0.0 the plain function returns is
-/// a sentinel, not a score).
-pub fn try_average_precision(ranked_relevance: &[bool]) -> Result<f64, MetricError> {
-    if ranked_relevance.is_empty() {
-        return Err(MetricError::Empty);
-    }
-    if !ranked_relevance.iter().any(|&r| r) {
-        return Err(MetricError::NonFinite { index: None });
-    }
-    Ok(average_precision(ranked_relevance))
 }
 
 /// Root mean squared error.
@@ -202,21 +188,6 @@ pub fn roc_auc(scores: &[f64], labels: &[f64]) -> f64 {
     (sum_pos - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0) / (n_pos as f64 * n_neg as f64)
 }
 
-/// Binary log-loss (cross-entropy) with probability clipping.
-pub fn log_loss(probs: &[f64], labels: &[f64]) -> f64 {
-    assert_eq!(probs.len(), labels.len());
-    assert!(!probs.is_empty());
-    probs
-        .iter()
-        .zip(labels)
-        .map(|(&p, &y)| {
-            let p = p.clamp(1e-12, 1.0 - 1e-12);
-            -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
-        })
-        .sum::<f64>()
-        / probs.len() as f64
-}
-
 /// Classification accuracy at a 0.5 threshold.
 pub fn accuracy(probs: &[f64], labels: &[f64]) -> f64 {
     assert_eq!(probs.len(), labels.len());
@@ -281,14 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn log_loss_and_accuracy() {
+    fn accuracy_at_one_half() {
         let probs = [0.9, 0.1, 0.8, 0.35];
         let labels = [1.0, 0.0, 1.0, 0.0];
-        assert!(log_loss(&probs, &labels) < 0.3);
         assert_eq!(accuracy(&probs, &labels), 1.0);
         assert_eq!(accuracy(&[0.9, 0.9], &[1.0, 0.0]), 0.5);
-        // Clipping keeps loss finite.
-        assert!(log_loss(&[0.0], &[1.0]).is_finite());
     }
 
     #[test]
@@ -301,7 +269,6 @@ mod tests {
     fn try_metrics_reject_empty() {
         assert_eq!(try_rmse(&[], &[]), Err(MetricError::Empty));
         assert_eq!(try_r2(&[], &[]), Err(MetricError::Empty));
-        assert_eq!(try_average_precision(&[]), Err(MetricError::Empty));
     }
 
     #[test]
@@ -334,21 +301,6 @@ mod tests {
         // becomes an error.
         assert_eq!(
             try_r2(&[5.0, 6.0], &[5.0, 5.0]),
-            Err(MetricError::NonFinite { index: None })
-        );
-    }
-
-    #[test]
-    fn try_ap_matches_plain_when_defined() {
-        let ranking = [true, false, true, false];
-        assert_eq!(
-            try_average_precision(&ranking),
-            Ok(average_precision(&ranking))
-        );
-        // No relevant items: plain returns the 0.0 sentinel, checked errors.
-        assert_eq!(average_precision(&[false, false]), 0.0);
-        assert_eq!(
-            try_average_precision(&[false, false]),
             Err(MetricError::NonFinite { index: None })
         );
     }

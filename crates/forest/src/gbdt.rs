@@ -807,8 +807,8 @@ mod tests {
         .fit(&xs, &ys)
         .unwrap();
         for t in &f.trees {
-            for i in t.internal_nodes() {
-                assert!(t.nodes[i].gain > 0.0);
+            for n in t.nodes.iter().filter(|n| !n.is_leaf()) {
+                assert!(n.gain > 0.0);
             }
         }
     }

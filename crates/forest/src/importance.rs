@@ -1,16 +1,14 @@
 //! Forest introspection: gain-based feature importance and split
 //! threshold extraction.
 //!
-//! These are the signals GEF elicits from the forest in place of the
-//! (unavailable) training data:
+//! [`FeatureStats::collect`] elicits, in one pass over the split nodes,
+//! the signals GEF uses in place of the (unavailable) training data:
 //!
-//! * [`gain_importance`] — per-feature accumulated loss reduction across
-//!   all split nodes (paper Sec. 3.2, univariate component selection);
-//! * [`split_count_importance`] — number of splits per feature, a common
-//!   secondary importance measure;
-//! * [`feature_thresholds`] — the sorted, de-duplicated list `V_i` of
-//!   thresholds per feature (paper Sec. 3.3, sampling domains);
-//! * [`FeatureStats`] — everything above in one pass.
+//! * per-feature accumulated loss reduction across all split nodes
+//!   (paper Sec. 3.2, univariate component selection);
+//! * the number of splits per feature;
+//! * the split thresholds per feature, sorted, both de-duplicated and
+//!   with multiplicity — the paper's `V_i` (Sec. 3.3, sampling domains).
 
 use crate::Forest;
 use gef_trace::json::{JsonValue, JsonWriter, ReadJson, WriteJson};
@@ -119,31 +117,6 @@ impl FeatureStats {
     }
 }
 
-/// Accumulated split gain per feature (length = `forest.num_features`).
-pub fn gain_importance(forest: &Forest) -> Vec<f64> {
-    FeatureStats::collect(forest).gain
-}
-
-/// Number of split nodes per feature.
-pub fn split_count_importance(forest: &Forest) -> Vec<usize> {
-    FeatureStats::collect(forest).split_count
-}
-
-/// Sorted, de-duplicated split thresholds of one feature across the
-/// whole forest (the paper's `V_i`).
-pub fn feature_thresholds(forest: &Forest, feature: usize) -> Vec<f64> {
-    let mut v: Vec<f64> = forest
-        .trees
-        .iter()
-        .flat_map(|t| t.nodes.iter())
-        .filter(|n| !n.is_leaf() && n.feature as usize == feature)
-        .map(|n| n.threshold)
-        .collect();
-    v.sort_by(|a, b| a.total_cmp(b));
-    v.dedup();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,19 +147,15 @@ mod tests {
 
     #[test]
     fn gain_accumulates_across_trees() {
-        let f = two_tree_forest();
-        let g = gain_importance(&f);
-        assert_eq!(g, vec![6.0, 1.0, 0.0]);
-        let c = split_count_importance(&f);
-        assert_eq!(c, vec![2, 1, 0]);
+        let stats = FeatureStats::collect(&two_tree_forest());
+        assert_eq!(stats.gain, vec![6.0, 1.0, 0.0]);
+        assert_eq!(stats.split_count, vec![2, 1, 0]);
     }
 
     #[test]
     fn thresholds_sorted_and_deduped() {
-        let f = two_tree_forest();
-        assert_eq!(feature_thresholds(&f, 0), vec![0.5, 0.7]);
-        assert_eq!(feature_thresholds(&f, 1), vec![0.2]);
-        assert!(feature_thresholds(&f, 2).is_empty());
+        let stats = FeatureStats::collect(&two_tree_forest());
+        assert_eq!(stats.thresholds, vec![vec![0.5, 0.7], vec![0.2], vec![]]);
     }
 
     #[test]
@@ -202,6 +171,8 @@ mod tests {
     fn duplicate_thresholds_collapse() {
         let mut f = two_tree_forest();
         f.trees[1].nodes[0].threshold = 0.5; // same as tree A's root
-        assert_eq!(feature_thresholds(&f, 0), vec![0.5]);
+        let stats = FeatureStats::collect(&f);
+        assert_eq!(stats.thresholds[0], vec![0.5]);
+        assert_eq!(stats.threshold_multiset[0], vec![0.5, 0.5]);
     }
 }

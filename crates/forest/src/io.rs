@@ -1,14 +1,11 @@
-//! Forest model (de)serialization.
-//!
-//! Two formats:
-//!
-//! * **JSON** ([`to_json`] / [`from_json`]) — lossless round trip of the
-//!   model fields, in the same wire form serde builds of GEF wrote;
-//! * a **LightGBM-style text format** ([`to_text`] / [`from_text`]) with
-//!   per-tree blocks of parallel arrays (`split_feature`, `threshold`,
-//!   `left_child`, `right_child`, `leaf_value`, `split_gain`, `count`),
-//!   so models trained elsewhere can be imported by writing this simple
-//!   dump, and our models can be inspected with a pager.
+//! Forest model (de)serialization: a **LightGBM-style text format**
+//! ([`to_text`] / [`from_text`]) with per-tree blocks of parallel arrays
+//! (`split_feature`, `threshold`, `left_child`, `right_child`,
+//! `leaf_value`, `split_gain`, `count`), so models trained elsewhere can
+//! be imported by writing this simple dump, and our models can be
+//! inspected with a pager. The format round-trips exactly (shortest
+//! round-trip float formatting). The checksummed binary form is
+//! [`crate::codec`]; both decode paths share one structural validation.
 //!
 //! The GEF scenario assumes the explainer is a third party with full
 //! access to the forest *structure* — this module is exactly that
@@ -16,40 +13,8 @@
 
 use crate::tree::{Node, Tree, LEAF};
 use crate::{Forest, ForestError, Objective, Result};
-use gef_trace::json::{self, JsonValue, JsonWriter, ReadJson, WriteJson};
+use gef_trace::json::{JsonValue, JsonWriter, ReadJson, WriteJson};
 use std::fmt::Write as _;
-
-/// Serialize a forest's model fields to JSON: `{"trees": [{"nodes":
-/// [...]}], "base_score", "scale", "objective", "num_features"}` (the
-/// runtime kernel-layout cache is not part of the format).
-pub fn to_json(forest: &Forest) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.field("trees", &forest.trees);
-    w.field("base_score", &forest.base_score);
-    w.field("scale", &forest.scale);
-    w.field("objective", &forest.objective);
-    w.field("num_features", &forest.num_features);
-    w.end_object();
-    w.finish()
-}
-
-/// Deserialize a forest from JSON, validating tree structure.
-pub fn from_json(s: &str) -> Result<Forest> {
-    let read = || -> std::result::Result<Forest, String> {
-        let v = json::parse(s)?;
-        Ok(Forest::new(
-            v.req("trees")?,
-            v.req("base_score")?,
-            v.req("scale")?,
-            v.req("objective")?,
-            v.req("num_features")?,
-        ))
-    };
-    let forest = read().map_err(|e| ForestError::Parse(format!("json: {e}")))?;
-    validate(&forest)?;
-    Ok(forest)
-}
 
 impl WriteJson for Objective {
     fn write_json(&self, w: &mut JsonWriter) {
@@ -69,17 +34,6 @@ impl ReadJson for Objective {
         }
     }
 }
-
-gef_trace::json_struct!(Tree { nodes });
-gef_trace::json_struct!(Node {
-    feature,
-    threshold,
-    left,
-    right,
-    value,
-    gain,
-    count
-});
 
 /// Serialize a forest to the LightGBM-style text format.
 pub fn to_text(forest: &Forest) -> String {
@@ -375,39 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_exact() {
-        let f = small_forest();
-        let s = to_json(&f);
-        let g = from_json(&s).unwrap();
-        assert_eq!(f.trees.len(), g.trees.len());
-        for (a, b) in f.trees.iter().zip(&g.trees) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(f.predict(&[0.3, 0.6]), g.predict(&[0.3, 0.6]));
-    }
-
-    #[test]
-    fn loads_a_hand_written_serde_archive() {
-        // The wire form serde builds of GEF wrote: a stump on feature 0,
-        // plus a field this build does not know, which is ignored.
-        let json = r#"{"trees":[{"nodes":[
-            {"feature":0,"threshold":0.5,"left":1,"right":2,"value":0.0,"gain":3.5,"count":10},
-            {"feature":-1,"threshold":0.0,"left":0,"right":0,"value":-1.0,"gain":0.0,"count":4},
-            {"feature":-1,"threshold":0.0,"left":0,"right":0,"value":2.5,"gain":0.0,"count":6}
-        ]}],"base_score":0.25,"scale":1.0,"objective":"RegressionL2","num_features":2,
-        "comment":"unknown fields are ignored"}"#;
-        let f = from_json(json).unwrap();
-        assert_eq!(f.objective, Objective::RegressionL2);
-        assert_eq!(f.trees[0].nodes[0].gain, 3.5);
-        assert_eq!(f.predict(&[0.4, 0.0]), 0.25 - 1.0);
-        assert_eq!(f.predict(&[0.6, 0.0]), 0.25 + 2.5);
-        assert_eq!(from_json(&to_json(&f)).unwrap().trees, f.trees);
-        let missing = json.replace(r#""scale":1.0,"#, "");
-        let err = from_json(&missing).unwrap_err().to_string();
-        assert!(err.contains("scale"), "{err}");
-    }
-
-    #[test]
     fn text_round_trip_exact() {
         let f = small_forest();
         let s = to_text(&f);
@@ -430,7 +351,6 @@ mod tests {
     fn rejects_garbage() {
         assert!(from_text("").is_err());
         assert!(from_text("not_a_model\n").is_err());
-        assert!(from_json("{").is_err());
         assert!(from_text("gef_forest_v1\nobjective=martian\n").is_err());
     }
 
@@ -467,8 +387,8 @@ mod tests {
     fn rejects_out_of_range_feature() {
         let mut f = small_forest();
         f.num_features = 1; // tree nodes still reference feature 1
-        let json = to_json(&f);
-        assert!(from_json(&json).is_err());
+        let err = from_text(&to_text(&f)).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

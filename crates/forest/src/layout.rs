@@ -94,9 +94,6 @@ use std::sync::{Arc, RwLock};
 /// let flat = FlatForest::build(&forest).unwrap();
 /// assert_eq!(flat.num_nodes(), 3);
 /// assert_eq!(flat.max_depth(), 1);
-/// // Dictionary quantization: 1 unique threshold, 2 unique leaf values.
-/// assert_eq!(flat.num_thresholds(), 1);
-/// assert_eq!(flat.num_leaf_values(), 2);
 /// ```
 #[derive(Debug)]
 pub struct FlatForest {
@@ -513,38 +510,9 @@ impl FlatForest {
         self.depth.iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Total size of the per-feature threshold rank tables (unique
-    /// split thresholds, counted per feature).
-    pub fn num_thresholds(&self) -> usize {
-        self.ft_values.len()
-    }
-
-    /// Size of the leaf-value dictionary.
-    pub fn num_leaf_values(&self) -> usize {
-        self.leaf_values.len()
-    }
-
     /// Content digest of the source forest this layout snapshots.
     pub fn source_digest(&self) -> u64 {
         self.source_digest
-    }
-
-    /// Approximate heap footprint of the layout in bytes (node arrays
-    /// plus dictionaries) — the number the DESIGN.md performance model
-    /// compares against the walker's 40 bytes/node.
-    pub fn heap_bytes(&self) -> usize {
-        let qs = self.qs.as_ref().map_or(0, |qs| {
-            qs.thr.len() * std::mem::size_of::<f64>()
-                + qs.ent.len() * std::mem::size_of::<u64>()
-                + qs.leaf_value.len() * std::mem::size_of::<f64>()
-                + (qs.offsets.len() + qs.leaf_offsets.len() + qs.leaf_depth1.len())
-                    * std::mem::size_of::<u32>()
-        });
-        self.num_nodes() * (std::mem::size_of::<HotNode>() + 2 * std::mem::size_of::<u32>())
-            + (self.ft_values.len() + self.leaf_values.len()) * std::mem::size_of::<f64>()
-            + self.ft_offsets.len() * std::mem::size_of::<u32>()
-            + self.roots.len() * 2 * std::mem::size_of::<u32>()
-            + qs
     }
 }
 
@@ -698,9 +666,9 @@ mod tests {
         assert_eq!(flat.roots, vec![0, 5]);
         assert_eq!(flat.depth, vec![2, 1]);
         // 0.25 appears in both trees; 0.5 once.
-        assert_eq!(flat.num_thresholds(), 2);
+        assert_eq!(flat.ft_values.len(), 2);
         // Leaf payloads 3, 1, 2, -2 (1.0 deduplicated across trees).
-        assert_eq!(flat.num_leaf_values(), 4);
+        assert_eq!(flat.leaf_values.len(), 4);
         // Leaves self-loop in absolute coordinates.
         assert_eq!(flat.nodes[2].left, 2);
         assert_eq!(flat.nodes[2].right, 2);
@@ -714,7 +682,6 @@ mod tests {
         assert_eq!(flat.depth1[5], 1);
         assert_eq!(flat.depth1[7], 2);
         assert_eq!(flat.source_digest(), forest.content_digest());
-        assert!(flat.heap_bytes() > 0);
         // 8 nodes fit one tree block.
         assert_eq!(flat.tree_blocks, vec![(0, 2)]);
     }
@@ -807,9 +774,9 @@ mod tests {
         );
         let flat = FlatForest::build(&forest).unwrap();
         assert_eq!(flat.max_depth(), 0);
-        assert_eq!(flat.num_leaf_values(), 1);
+        assert_eq!(flat.leaf_values.len(), 1);
         // No splits, no rank tables.
-        assert_eq!(flat.num_thresholds(), 0);
+        assert!(flat.ft_values.is_empty());
         assert_eq!(flat.ft_offsets, vec![0]);
     }
 

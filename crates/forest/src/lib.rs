@@ -6,9 +6,9 @@
 //! trainer ([`GbdtTrainer`]), a Random Forest trainer
 //! ([`random_forest::RandomForestTrainer`], the paper's future-work
 //! target), fast single/batch prediction, a LightGBM-style text model
-//! format plus JSON (de)serialization ([`io`]), and the model statistics
-//! GEF consumes: per-node split gain, per-node cover, and the full
-//! per-feature threshold lists ([`importance`]).
+//! format ([`io`]) beside a checksummed binary one ([`codec`]), and the
+//! model statistics GEF consumes: per-node split gain, per-node cover,
+//! and the full per-feature threshold lists ([`importance`]).
 //!
 //! ## Quick example
 //!
@@ -219,20 +219,6 @@ impl Forest {
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(self.objective, Objective::BinaryLogistic);
         sigmoid(self.predict_raw(x))
-    }
-
-    /// Batch raw predictions.
-    ///
-    /// Rides the flattened kernel ([`kernel::predict`]) when the
-    /// batch clears the kernel work floor; otherwise the per-row walker.
-    /// Infallible (no deadline checkpoints) and always serial, matching
-    /// its original contract — the pool-dispatched, deadline-aware entry
-    /// point is [`Forest::predict_batch`].
-    pub fn predict_raw_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        if let Some(flat) = self.kernel_layout(xs.len()) {
-            return kernel::predict(&flat, xs, LabelScale::Raw).0;
-        }
-        xs.iter().map(|x| self.predict_raw(x)).collect()
     }
 
     /// Whether a batch is large enough to dispatch to the gef-par pool.

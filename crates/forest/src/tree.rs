@@ -143,15 +143,6 @@ impl Tree {
         rec(self, 0)
     }
 
-    /// Iterate over internal (split) node indices.
-    pub fn internal_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.is_leaf())
-            .map(|(i, _)| i)
-    }
-
     /// Validate structural invariants: child indices in range, every
     /// non-root node referenced exactly once, no cycles (indices of
     /// children strictly greater than the parent is NOT required, only
@@ -254,7 +245,6 @@ mod tests {
         let t = sample_tree();
         assert_eq!(t.num_leaves(), 3);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.internal_nodes().collect::<Vec<_>>(), vec![0, 1]);
         let c = Tree::constant(7.5, 10);
         assert_eq!(c.predict(&[1.0]), 7.5);
         assert_eq!(c.depth(), 0);

@@ -14,7 +14,9 @@
 //! `CASES` inputs drawn from `Rng::seed(case)`; a failure names its
 //! case seed.
 
-use gef_forest::{Forest, ForestError, GbdtParams, GbdtTrainer, LabelScale, Node, Objective, Tree};
+use gef_forest::{
+    kernel, Forest, ForestError, GbdtParams, GbdtTrainer, LabelScale, Node, Objective, Tree,
+};
 use gef_trace::rng::Rng;
 use std::sync::Mutex;
 
@@ -33,6 +35,12 @@ fn with_thread_control<T>(f: impl FnOnce() -> T) -> T {
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The kernel's raw-margin labels of `xs`, serial and with no work floor.
+fn kernel_raw(forest: &Forest, xs: &[Vec<f64>]) -> Vec<f64> {
+    let flat = forest.flattened().expect("valid forest flattens");
+    kernel::predict(&flat, xs, LabelScale::Raw).0
 }
 
 /// Walker reference: per-row response-scale predictions (the per-row
@@ -140,10 +148,10 @@ fn kernel_matches_walker_on_random_forests() {
                 assert_eq!(bits(&got), bits(&want), "case {case}: threads={t}");
             }
         });
-        // Raw-margin batch path too (infallible entry point).
+        // Raw-margin labels too.
         let want_raw: Vec<f64> = rows.iter().map(|x| forest.predict_raw(x)).collect();
         assert_eq!(
-            bits(&forest.predict_raw_batch(&rows)),
+            bits(&kernel_raw(&forest, &rows)),
             bits(&want_raw),
             "case {case}"
         );
@@ -513,7 +521,7 @@ fn code_labels_match_rows_and_walker() {
             want_raw.push(raw);
         }
         let want_resp: Vec<f64> = want_raw.iter().map(|&r| objective.transform(r)).collect();
-        assert_eq!(bits(&forest.predict_raw_batch(&rows)), bits(&want_raw));
+        assert_eq!(bits(&kernel_raw(&forest, &rows)), bits(&want_raw));
         with_thread_control(|| {
             for t in [1, 4] {
                 gef_par::set_threads(t);

@@ -1094,37 +1094,6 @@ impl Gam {
             .collect())
     }
 
-    /// Evaluate a tensor term's centered surface on the grid
-    /// `values_a × values_b`. Returns a row-major matrix of estimates.
-    pub fn tensor_surface(
-        &self,
-        term: usize,
-        values_a: &[f64],
-        values_b: &[f64],
-    ) -> Result<Vec<Vec<f64>>> {
-        let feats = self.specs[term].features();
-        if feats.len() != 2 {
-            return Err(GamError::InvalidSpec(format!(
-                "term {term} ({}) is not bivariate",
-                self.term_label(term)
-            )));
-        }
-        let (fa, fb) = (feats[0], feats[1]);
-        let width = fa.max(fb) + 1;
-        let mut x = vec![0.0; width];
-        let mut out = Vec::with_capacity(values_a.len());
-        for &a in values_a {
-            let mut row = Vec::with_capacity(values_b.len());
-            for &b in values_b {
-                x[fa] = a;
-                x[fb] = b;
-                row.push(self.component(term, &x));
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-
     /// Importance of a term: the standard deviation of its contribution
     /// over the training data (used to sort component plots).
     pub fn term_importance(&self, term: usize) -> f64 {
@@ -1480,7 +1449,6 @@ mod tests {
         )
         .unwrap();
         assert!(gam.univariate_curve(0, &[0.5], 1.96).is_err());
-        assert!(gam.tensor_surface(0, &[0.2, 0.8], &[0.3]).is_ok());
     }
 
     #[test]

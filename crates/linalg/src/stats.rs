@@ -30,16 +30,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Population (biased, denominator n) standard deviation.
-pub fn std_dev_pop(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / n as f64).sqrt()
-}
-
 /// Linear-interpolation quantile of a **sorted** slice, `q` in [0, 1]
 /// (type-7, the numpy default).
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
@@ -158,7 +148,6 @@ mod tests {
     fn mean_variance_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev_pop(&xs) - 2.0).abs() < 1e-12);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);

@@ -707,17 +707,6 @@ pub fn for_each_task<T: Send>(
     })
 }
 
-/// Run `f(chunk_index, range)` over the fixed [`chunk_ranges`]
-/// partition of `0..len`.
-pub fn for_each_chunk(
-    len: usize,
-    opts: Options,
-    f: impl Fn(usize, Range<usize>) + Sync,
-) -> Result<(), ParError> {
-    let ranges = chunk_ranges(len);
-    run_tasks(ranges.len(), opts, &|i| f(i, ranges[i].clone()))
-}
-
 /// Hand out disjoint mutable chunks of `data` (fixed [`chunk_size`]
 /// boundaries): `f(chunk_index, start_offset, chunk)`. On an `Err`,
 /// chunks that did not run keep their previous contents.

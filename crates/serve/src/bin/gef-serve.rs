@@ -1,12 +1,13 @@
 //! Standalone explanation service: load a forest, serve explanations.
 //!
 //! ```text
-//! gef-serve [--store DIR] --model model.txt [--model-json model.json] [--name NAME]
+//! gef-serve [--store DIR] [--model model.txt [--name NAME]]...
 //! ```
 //!
-//! Repeat `--model`/`--model-json` to preload several models (each
-//! `--name` applies to the most recent model flag; unnamed models get
-//! `model-<i>`). With no model flag a small synthetic demo forest is
+//! `--model` reads a forest in the LightGBM-style text format
+//! (`gef_forest::io`). Repeat it to preload several models (each
+//! `--name` applies to the most recent `--model`; unnamed models get
+//! `model-<i>`). With no `--model` a small synthetic demo forest is
 //! trained so the endpoints can be exercised immediately.
 //!
 //! `--store DIR` backs the server with a `gef-store` artifact store:
@@ -68,18 +69,13 @@ fn main() {
                 .as_str()
         };
         match argv[i].as_str() {
-            flag @ ("--model" | "--model-json") => {
+            "--model" => {
                 let p = path(i + 1);
                 let raw = std::fs::read_to_string(p).unwrap_or_else(|e| {
                     eprintln!("cannot read {p}: {e}");
                     std::process::exit(2);
                 });
-                let parsed = if flag == "--model" {
-                    gef_forest::io::from_text(&raw)
-                } else {
-                    gef_forest::io::from_json(&raw)
-                };
-                let forest = parsed.unwrap_or_else(|e| {
+                let forest = gef_forest::io::from_text(&raw).unwrap_or_else(|e| {
                     eprintln!("cannot parse {p}: {e}");
                     std::process::exit(2);
                 });
@@ -99,14 +95,14 @@ fn main() {
                 match models.last_mut() {
                     Some(m) => m.name = name,
                     None => {
-                        eprintln!("--name must follow a --model/--model-json flag");
+                        eprintln!("--name must follow a --model flag");
                         std::process::exit(2);
                     }
                 }
                 i += 2;
             }
             other => {
-                eprintln!("unknown flag {other:?} (expected --store/--model/--model-json/--name)");
+                eprintln!("unknown flag {other:?} (expected --store/--model/--name)");
                 std::process::exit(2);
             }
         }

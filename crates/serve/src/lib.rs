@@ -96,6 +96,8 @@
 //! | `GEF_SERVE_SLOW_MS` | slow-request capture threshold (0 = off) | 0 |
 //! | `GEF_SERVE_PROFILE` | honor `/explain?profile=1` (enables timelines) | 0 |
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod flight;
 pub mod http;
 mod poll;

@@ -2,8 +2,8 @@
 //!
 //! Crash-safe, content-addressed artifact store for GEF models and
 //! derived artifacts: trained forests (binary `GFB1` + LightGBM-style
-//! text, side by side), fitted-GAM blobs, and cached explanations keyed
-//! by `(model digest, config digest)`. Every artifact is addressed by
+//! text, side by side) and cached explanations keyed by
+//! `(model digest, config digest)`. Every artifact is addressed by
 //! the 64-bit content digest the flight-recorder/provenance layer
 //! already stamps on it (`Forest::content_digest`,
 //! `GefConfig::content_digest`), so a name is never trusted — bytes
@@ -19,8 +19,8 @@
 //! * **Verified loads** — binary artifacts carry per-section FNV
 //!   checksums and a whole-file trailer ([`gef_forest::codec`]); after
 //!   decode the forest's content digest must equal the address. Text
-//!   and blob artifacts are verified the same way (checksummed
-//!   envelope or digest recompute).
+//!   artifacts are verified by a digest recompute, cached explanations
+//!   by a checksummed envelope, and refs must hold a 16-hex digest.
 //! * **Quarantine, never a panic** — a torn, truncated, or bit-flipped
 //!   artifact is moved to `quarantine/` with a `.why.json` side-car
 //!   (cause, detail, replayable fault schedule) and a
@@ -38,7 +38,6 @@
 //! <root>/
 //!   forests/<digest16>.gfb       binary model (primary cold-load path)
 //!   forests/<digest16>.txt       LightGBM-style text (fallback + interchange)
-//!   gams/<digest16>.blob         fitted-GAM payload in a GEFE envelope
 //!   explanations/<model16>-<config16>.json   explanation JSON in a GEFE envelope
 //!   refs/<name>                  human name -> digest16 (atomic replace)
 //!   quarantine/                  corrupt artifacts + .why.json side-cars
@@ -86,7 +85,7 @@ pub const TRUNCATE: &str = "store.truncate";
 /// error; nothing reaches the final name.
 pub const ENOSPC: &str = "store.enospc";
 
-/// Envelope magic for non-forest blobs (GAMs, explanations).
+/// Envelope magic for cached explanations.
 const ENVELOPE_MAGIC: &[u8; 4] = b"GEFE";
 const ENVELOPE_VERSION: u32 = 1;
 
@@ -220,16 +219,6 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Render the currently armed fault schedule as a `GEF_FAULTS`-style
-/// replay string (empty when nothing is armed).
-fn replay_faults() -> String {
-    gef_trace::fault::armed()
-        .iter()
-        .map(|(site, trig)| format!("{site}={}", trig.to_spec()))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 impl Store {
     /// Open (creating if needed) a store rooted at `root`, with the
     /// cache budget from `GEF_STORE_CACHE_MB` (default
@@ -242,14 +231,7 @@ impl Store {
     /// Open with an explicit cache byte budget (harness/test entry).
     pub fn open_with_cache(root: impl AsRef<Path>, cache_bytes: u64) -> Result<Store> {
         let root = root.as_ref().to_path_buf();
-        for sub in [
-            "forests",
-            "gams",
-            "explanations",
-            "refs",
-            "quarantine",
-            "tmp",
-        ] {
+        for sub in ["forests", "explanations", "refs", "quarantine", "tmp"] {
             fs::create_dir_all(root.join(sub)).map_err(|e| io_err("mkdir", &e))?;
         }
         // Sweep publish-staging debris left by crashes mid-publish:
@@ -405,7 +387,7 @@ impl Store {
         w.key("ts_unix_ms");
         w.value_u64(unix_ms());
         w.key("replay_faults");
-        w.value_str(&replay_faults());
+        w.value_str(&gef_trace::fault::armed_spec());
         w.end_object();
         let side_car = qdir.join(format!(
             "{}.why.json",
@@ -567,71 +549,52 @@ impl Store {
         }
     }
 
-    /// Digests of all forests with at least one artifact on disk,
-    /// sorted (no verification — use [`Store::load_forest`] to trust
-    /// one).
-    pub fn list_forests(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        if let Ok(rd) = fs::read_dir(self.root.join("forests")) {
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(hex) = name
-                    .strip_suffix(".gfb")
-                    .or_else(|| name.strip_suffix(".txt"))
-                {
-                    if let Ok(d) = u64::from_str_radix(hex, 16) {
-                        out.push(d);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     // ------------------------------------------------------------------
     // Refs (human names)
     // ------------------------------------------------------------------
 
-    /// Point `name` at a forest digest (atomic replace).
-    pub fn tag(&self, name: &str, digest: u64) -> Result<()> {
+    /// The file of ref `name`, once the name is checked.
+    fn ref_path(&self, name: &str) -> Result<PathBuf> {
         if !valid_name(name) {
             return Err(StoreError::InvalidName {
                 name: name.to_string(),
             });
         }
-        self.write_atomic(
-            &self.root.join("refs").join(name),
-            to_hex(digest).as_bytes(),
-        )
+        Ok(self.root.join("refs").join(name))
     }
 
-    /// Resolve a ref name to its digest.
-    pub fn resolve(&self, name: &str) -> Result<u64> {
-        if !valid_name(name) {
-            return Err(StoreError::InvalidName {
-                name: name.to_string(),
-            });
-        }
-        let path = self.root.join("refs").join(name);
-        let Some(bytes) = self.read_artifact(&path)? else {
+    /// Point `name` at a forest digest (atomic replace).
+    pub fn tag(&self, name: &str, digest: u64) -> Result<()> {
+        self.write_atomic(&self.ref_path(name)?, to_hex(digest).as_bytes())
+    }
+
+    /// Read ref `name`: a valid name whose file holds exactly 16 hex
+    /// digits. A malformed ref is reported as [`StoreError::Corrupt`]
+    /// but left in place; [`Store::resolve`] quarantines it.
+    fn read_ref(&self, name: &str) -> Result<u64> {
+        let Some(bytes) = self.read_artifact(&self.ref_path(name)?)? else {
             return Err(StoreError::NotFound {
                 what: format!("ref {name}"),
             });
         };
         let text = String::from_utf8_lossy(&bytes);
-        match u64::from_str_radix(text.trim(), 16) {
-            Ok(d) if text.trim().len() == 16 => Ok(d),
-            _ => {
-                let detail = format!("ref does not hold a 16-hex digest: {:?}", text.trim());
-                self.quarantine(&path, "ref_malformed", &detail);
-                Err(StoreError::Corrupt {
-                    artifact: format!("ref {name}"),
-                    detail,
-                })
-            }
+        let hex = text.trim();
+        match u64::from_str_radix(hex, 16) {
+            Ok(d) if hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()) => Ok(d),
+            _ => Err(StoreError::Corrupt {
+                artifact: format!("ref {name}"),
+                detail: format!("ref does not hold a 16-hex digest: {hex:?}"),
+            }),
         }
+    }
+
+    /// Resolve a ref name to its digest. A malformed ref is quarantined.
+    pub fn resolve(&self, name: &str) -> Result<u64> {
+        let read = self.read_ref(name);
+        if let Err(StoreError::Corrupt { detail, .. }) = &read {
+            self.quarantine(&self.root.join("refs").join(name), "ref_malformed", detail);
+        }
+        read
     }
 
     /// Resolve and load in one step.
@@ -640,18 +603,16 @@ impl Store {
         self.load_forest(digest)
     }
 
-    /// All `(name, digest)` refs, name-sorted. Malformed refs are
-    /// skipped here (surfaced when resolved individually).
+    /// All `(name, digest)` refs, name-sorted. Every ref that
+    /// [`Store::resolve`] would reject is skipped here (and surfaced
+    /// when resolved individually).
     pub fn refs(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         if let Ok(rd) = fs::read_dir(self.root.join("refs")) {
             for entry in rd.flatten() {
                 let name = entry.file_name().to_string_lossy().into_owned();
-                if let Ok(bytes) = fs::read(entry.path()) {
-                    let text = String::from_utf8_lossy(&bytes);
-                    if let Ok(d) = u64::from_str_radix(text.trim(), 16) {
-                        out.push((name, d));
-                    }
+                if let Ok(d) = self.read_ref(&name) {
+                    out.push((name, d));
                 }
             }
         }
@@ -660,7 +621,7 @@ impl Store {
     }
 
     // ------------------------------------------------------------------
-    // Blobs: GAMs and cached explanations (GEFE envelope)
+    // Cached explanations (GEFE envelope)
     // ------------------------------------------------------------------
 
     fn seal(payload: &[u8]) -> Vec<u8> {
@@ -717,23 +678,6 @@ impl Store {
                 })
             }
         }
-    }
-
-    /// Store a fitted-GAM payload under its content digest.
-    pub fn put_gam(&self, digest: u64, payload: &[u8]) -> Result<()> {
-        let path = self
-            .root
-            .join("gams")
-            .join(format!("{}.blob", to_hex(digest)));
-        self.write_atomic(&path, &Store::seal(payload))
-    }
-
-    /// Fetch a fitted-GAM payload. `Ok(None)` when absent; a corrupt
-    /// envelope is quarantined and reported as [`StoreError::Corrupt`].
-    pub fn get_gam(&self, digest: u64) -> Result<Option<Vec<u8>>> {
-        let hex = to_hex(digest);
-        let path = self.root.join("gams").join(format!("{hex}.blob"));
-        self.get_sealed(&path, &format!("gam {hex}"))
     }
 
     fn explanation_path(&self, model: u64, config: u64) -> PathBuf {
@@ -811,7 +755,6 @@ mod tests {
         let second = store.load_forest(digest).unwrap();
         assert_eq!(second.source, LoadSource::Cache);
         assert_eq!(store.cache_stats().hits, 1);
-        assert_eq!(store.list_forests(), vec![digest]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -896,10 +839,24 @@ mod tests {
     fn malformed_ref_is_quarantined() {
         let dir = tmpdir("badref");
         let store = Store::open_with_cache(&dir, 0).unwrap();
-        fs::write(dir.join("refs").join("broken"), b"not-a-digest").unwrap();
-        let err = store.resolve("broken").unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }));
-        assert_eq!(store.quarantined(), vec!["broken".to_string()]);
+        store.tag("good", 7).unwrap();
+        let refs = dir.join("refs");
+        // Not hex, valid hex of the wrong length, a signed number, and a
+        // file whose name no ref can have: `refs` lists none of them.
+        fs::write(refs.join("broken"), b"not-a-digest").unwrap();
+        fs::write(refs.join("short"), b"abc").unwrap();
+        fs::write(refs.join("signed"), b"+123456789abcdef").unwrap();
+        fs::write(refs.join(".hidden"), to_hex(7)).unwrap();
+        assert_eq!(store.refs(), vec![("good".to_string(), 7)]);
+        for name in ["broken", "short", "signed"] {
+            let err = store.resolve(name).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{name}: {err:?}");
+        }
+        assert!(matches!(
+            store.resolve(".hidden"),
+            Err(StoreError::InvalidName { .. })
+        ));
+        assert_eq!(store.quarantined(), vec!["broken", "short", "signed"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -926,23 +883,12 @@ mod tests {
     }
 
     #[test]
-    fn gam_blob_round_trips() {
-        let dir = tmpdir("gam");
-        let store = Store::open_with_cache(&dir, 0).unwrap();
-        assert_eq!(store.get_gam(7).unwrap(), None);
-        store.put_gam(7, b"gam-bytes").unwrap();
-        assert_eq!(store.get_gam(7).unwrap().unwrap(), b"gam-bytes");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn crash_debris_in_tmp_never_surfaces_and_is_swept_at_open() {
         let dir = tmpdir("debris");
         let store = Store::open_with_cache(&dir, 0).unwrap();
         // Simulated crash mid-publish: a stale temp file only.
         let debris = dir.join("tmp").join("x.gfb.0.tmp");
         fs::write(&debris, b"half").unwrap();
-        assert!(store.list_forests().is_empty());
         assert!(matches!(
             store.load_forest(1).unwrap_err(),
             StoreError::NotFound { .. }

@@ -56,7 +56,7 @@ impl Trigger {
     /// Render this trigger in the `GEF_FAULTS` spec grammar
     /// (`always` / `first:N` / `hits:I|J` / `stage<N` /
     /// `seeded:SEED:PROB`), so an armed schedule can be serialized into
-    /// a replayable `site=trigger` string (incident dumps do exactly
+    /// a replayable `site=trigger` string ([`armed_spec`] does exactly
     /// that).
     pub fn to_spec(&self) -> String {
         match self {
@@ -287,6 +287,17 @@ pub use imp::{
     stage,
 };
 
+/// The armed schedule as a replayable `GEF_FAULTS` string: `site=trigger`
+/// entries sorted by site, comma-separated; empty when nothing is armed.
+/// Incident dumps and store quarantine side-cars record it.
+pub fn armed_spec() -> String {
+    armed()
+        .iter()
+        .map(|(site, trig)| format!("{site}={}", trig.to_spec()))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 #[cfg(all(test, feature = "fault-injection"))]
 mod tests {
     use super::*;
@@ -390,6 +401,7 @@ mod tests {
             assert_eq!(snap[0], ("a.site".to_string(), Trigger::Hits(vec![1, 3])));
             assert_eq!(snap[0].1.to_spec(), "hits:1|3");
             assert_eq!(snap[1].1.to_spec(), "first:2");
+            assert_eq!(armed_spec(), "a.site=hits:1|3,b.site=first:2");
             assert_eq!(Trigger::Always.to_spec(), "always");
             assert_eq!(Trigger::StageBelow(3).to_spec(), "stage<3");
             assert_eq!(

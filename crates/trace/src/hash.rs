@@ -109,12 +109,6 @@ impl Digest {
     pub fn finish(&self) -> u64 {
         splitmix64(self.state)
     }
-
-    /// Finalize and render as the canonical 16-hex-digit form used in
-    /// incident dumps and provenance blocks.
-    pub fn finish_hex(&self) -> String {
-        to_hex(self.finish())
-    }
 }
 
 /// Canonical hex rendering of a digest value (16 lowercase hex digits).

@@ -4,8 +4,8 @@
 //!   incident dumps, service responses, benchmark records);
 //! * [`parse`] reads a document into a [`JsonValue`] tree ([`validate`]
 //!   is a parse that keeps only the verdict);
-//! * [`WriteJson`] / [`ReadJson`] give plain-data types — forests,
-//!   fitted GAMs, explanations and their reports — a typed wire form on
+//! * [`WriteJson`] / [`ReadJson`] give plain-data types — fitted GAMs,
+//!   explanations and their reports — a typed wire form on
 //!   top of the two, following serde's conventions so archives written
 //!   by serde builds still load.
 

@@ -342,7 +342,7 @@ fn pirls_stall_hits_the_hard_deadline_instead_of_hanging() {
             faults::arm(faults::PIRLS_STALL, Trigger::Always);
             let budget = RunBudget {
                 hard_deadline: Some(Duration::from_millis(60)),
-                ..RunBudget::unlimited()
+                ..RunBudget::default()
             };
             let start = Instant::now();
             let result = at_threads(t, || {

@@ -3,7 +3,8 @@
 //! drawn from `Rng::seed(case)`; a failure names its case seed.
 
 use gef::baselines::treeshap::{brute_force_shap, shap_values};
-use gef::forest::io::{from_json, from_text, to_json, to_text};
+use gef::forest::codec::{from_binary, to_binary};
+use gef::forest::io::{from_text, to_text};
 use gef::forest::tree::{Node, Tree};
 use gef::prelude::*;
 use gef::trace::rng::Rng;
@@ -79,8 +80,7 @@ fn forest_io_round_trips() {
         let forest = arb_forest(&mut Rng::seed(case), 3);
         let text = to_text(&forest);
         let parsed = from_text(&text).expect("text parses");
-        let json = to_json(&forest);
-        let jparsed = from_json(&json).expect("json parses");
+        let decoded = from_binary(&to_binary(&forest)).expect("GFB1 decodes");
         for x in [[0.0, 0.5, 1.0], [0.25, 0.25, 0.25], [-1.0, 2.0, 0.1]] {
             let p = forest.predict(&x);
             assert_eq!(
@@ -90,8 +90,8 @@ fn forest_io_round_trips() {
             );
             assert_eq!(
                 p.to_bits(),
-                jparsed.predict(&x).to_bits(),
-                "case {case}: json"
+                decoded.predict(&x).to_bits(),
+                "case {case}: GFB1"
             );
         }
     }

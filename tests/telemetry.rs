@@ -82,9 +82,10 @@ fn explain_emits_all_stage_spans_and_consistent_pirls_count() {
     assert!(t.span_total_ns("pipeline.explain") >= stage_sum);
 
     // The always-on StageTimings agree with the trace (same stages ran).
-    assert!(exp.telemetry.generate_ns > 0);
-    assert!(exp.telemetry.gam_fit_ns > 0);
-    assert!(exp.telemetry.total_ns() <= t.span_total_ns("pipeline.explain"));
+    let timings = exp.provenance.stage_timings;
+    assert!(timings.generate_ns > 0);
+    assert!(timings.gam_fit_ns > 0);
+    assert!(timings.total_ns() <= t.span_total_ns("pipeline.explain"));
 
     // FitSummary's PIRLS iteration count matches the recorded gauge.
     let recorded = t.gauge_value("gam.pirls_iters").expect("gauge recorded");
